@@ -225,6 +225,10 @@ main(int argc, char **argv)
         generateCompiler(isa, cache, synth, compilerConfig);
     if (gen.synth.fromCache)
         std::printf("  (rule set served from the persistent cache)\n");
+    if (gen.synth.hitDeadline)
+        std::printf("  (the %.0fs budget cut synthesis short: the rule "
+                    "set depends on the clock and was not cached)\n",
+                    budget);
     IsariaCompiler dios = makeDiospyrosCompiler(compilerConfig);
 
     RunOutcome base = h.runScalarBaseline();

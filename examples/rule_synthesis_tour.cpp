@@ -45,6 +45,8 @@ main(int argc, char **argv)
         std::printf("  (served from cache dir %s — delete the entry "
                     "to re-synthesize)\n",
                     cache.dir().c_str());
+    std::printf("  terms enumerated:      %zu (work bound %zu)\n",
+                report.termsEnumerated, config.enumConfig.maxTerms);
     std::printf("  candidates considered: %zu\n",
                 report.candidatesConsidered);
     std::printf("  rejected as unsound:   %zu\n", report.rejectedUnsound);
@@ -56,6 +58,10 @@ main(int argc, char **argv)
                 "%.1fs\n\n",
                 report.enumerateSeconds, report.shrinkSeconds,
                 report.generalizeSeconds);
+    if (report.hitDeadline)
+        std::printf("  the %.0fs safety net cut this run: its rules "
+                    "depend on the clock and were not cached\n\n",
+                    config.timeoutSeconds);
 
     DspCostModel cost;
     PhasedRules phased = assignPhases(report.rules, cost);

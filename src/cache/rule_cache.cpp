@@ -150,6 +150,7 @@ synthFingerprintImpl(const IsaSpec &isa, const SynthConfig &config)
     mix(seed, ec.maxScalarCandidates);
     mix(seed, ec.maxVectorCandidates);
     mix(seed, ec.maxLiftCandidates);
+    mix(seed, ec.maxTerms);
     mix(seed, ec.numEnvs);
     mix(seed, ec.seed);
 
@@ -160,7 +161,6 @@ synthFingerprintImpl(const IsaSpec &isa, const SynthConfig &config)
     mix(seed, vo.seed);
 
     mix(seed, config.timeoutSeconds);
-    mix(seed, config.enumFraction);
     mix(seed, config.maxRules);
     mix(seed, config.batchSize);
     mix(seed, config.keepShortcutCandidates);

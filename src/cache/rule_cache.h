@@ -21,10 +21,13 @@
  *  - Loads are corruption-tolerant: a truncated, garbled, or
  *    stale-fingerprint file is a *miss with a diagnostic*, never an
  *    abort — the pipeline falls back to synthesizing from scratch.
- *  - The fingerprint deliberately excludes thread counts: synthesis is
- *    byte-identical at any thread count (see SynthConfig::numThreads),
- *    so a cache entry written by a parallel run serves a sequential
- *    one and vice versa.
+ *  - The fingerprint deliberately excludes thread counts. The rule set
+ *    is a function of the ISA and the config: every decision that
+ *    shapes it is bounded by work, so it is byte-identical at any
+ *    thread count (see SynthConfig), and an entry written by a
+ *    parallel run serves a sequential one and vice versa. The clock
+ *    can only cut a run short; a cut run is marked
+ *    SynthReport::hitDeadline and never stored.
  */
 
 #include <cstdint>
@@ -43,7 +46,7 @@ namespace isaria
 /** Bump whenever the on-disk format *or* any synthesis semantics
  *  change — a stale schema silently serving old rules is the one
  *  corruption the parser cannot detect by itself. */
-constexpr std::uint64_t kRuleCacheSchemaVersion = 1;
+constexpr std::uint64_t kRuleCacheSchemaVersion = 2;
 
 /**
  * Fingerprint of everything the synthesized rule set depends on:

@@ -72,7 +72,7 @@ ThreadPool::parallelFor(std::size_t numTasks,
     }
     wake_.notify_all();
 
-    runTasks(0);
+    runTasks(0, fn);
 
     // Wait until every task ran *and* every worker has left runTasks,
     // so the next job cannot race a straggler still scanning chunks.
@@ -89,6 +89,7 @@ ThreadPool::workerLoop(std::size_t worker)
 {
     std::uint64_t seenGeneration = 0;
     for (;;) {
+        const std::function<void(std::size_t)> *fn = nullptr;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             wake_.wait(lock, [&] {
@@ -97,9 +98,16 @@ ThreadPool::workerLoop(std::size_t worker)
             if (stopping_)
                 return;
             seenGeneration = generation_;
+            // A worker that wakes only after its job has ended finds
+            // fn_ cleared and sits this generation out: the caller may
+            // already be seeding the next job's chunks and pending_,
+            // which only a worker counted in activeWorkers_ may touch.
+            fn = fn_;
+            if (!fn)
+                continue;
             ++activeWorkers_;
         }
-        runTasks(worker);
+        runTasks(worker, *fn);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             --activeWorkers_;
@@ -109,9 +117,9 @@ ThreadPool::workerLoop(std::size_t worker)
 }
 
 void
-ThreadPool::runTasks(std::size_t worker)
+ThreadPool::runTasks(std::size_t worker,
+                     const std::function<void(std::size_t)> &fn)
 {
-    const std::function<void(std::size_t)> &fn = *fn_;
     std::uint32_t task = 0;
     while (claimTask(worker, task)) {
         fn(task);

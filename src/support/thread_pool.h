@@ -16,8 +16,15 @@
  * [0, n) is carved into one contiguous chunk per worker, each worker
  * pops from the front of its own chunk, and an idle worker steals the
  * back half of the largest remaining chunk. Both ends are claimed via
- * compare-and-swap on a packed (begin, end) word, so the pool is
- * TSan-clean by construction.
+ * compare-and-swap on a packed (begin, end) word.
+ *
+ * The pool is race-free because a worker only touches a job it joined
+ * under mutex_: it reads the job's function and generation together
+ * under the lock, counts itself active before releasing it, and skips
+ * a generation whose function has already been cleared. The caller
+ * ends a job (and clears the function) only once no worker is active,
+ * so the chunks and pending count it seeds for the next job are never
+ * seen by a straggler from the previous one.
  */
 
 #include <atomic>
@@ -89,13 +96,17 @@ class ThreadPool
     }
 
     void workerLoop(std::size_t worker);
-    void runTasks(std::size_t worker);
+    /** Claims and runs tasks of the joined job until none are left. */
+    void runTasks(std::size_t worker,
+                  const std::function<void(std::size_t)> &fn);
     /** Claims one task index; false when all chunks are empty. */
     bool claimTask(std::size_t worker, std::uint32_t &task);
 
     std::vector<std::thread> workers_;
     /** One remaining-task chunk per worker. */
     std::vector<std::atomic<PackedRange>> chunks_;
+    /** The current job's function; set and cleared under mutex_, and
+     *  only read under it. Null between jobs. */
     const std::function<void(std::size_t)> *fn_ = nullptr;
 
     std::mutex mutex_;

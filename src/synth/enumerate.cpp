@@ -52,6 +52,9 @@ class Enumerator
     bool
     stop()
     {
+        if (config_.maxTerms > 0 &&
+            result_.termsEnumerated >= config_.maxTerms)
+            return true;
         if (deadline_.expired())
             result_.hitDeadline = true;
         return result_.hitDeadline ||

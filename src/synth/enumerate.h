@@ -50,6 +50,14 @@ struct EnumConfig
     /** Separate cap for *lift* pairs — candidates with a Vec literal
      *  at a root, i.e. the future compilation rules. */
     std::size_t maxLiftCandidates = 15000;
+    /**
+     * Work bound: enumeration stops once this many terms have been
+     * classified (0 = unbounded). Classification is sequential in
+     * enumeration order, so the cut falls on the same term at any
+     * thread count and on any machine — unlike a wall-clock slice,
+     * which cuts wherever the clock happens to be.
+     */
+    std::size_t maxTerms = 200'000;
     /** Fingerprint battery size. */
     int numEnvs = 24;
     std::uint64_t seed = 0x15A21Aull;
@@ -68,13 +76,16 @@ struct EnumResult
     std::vector<CandidatePair> candidates;
     std::size_t termsEnumerated = 0;
     std::size_t classes = 0;
+    /** The deadline cut the run short: the result depends on the clock. */
     bool hitDeadline = false;
 };
 
 /**
  * Enumerates the single-lane reduction of @p isa (every Vec literal
- * has one lane), collecting candidate pairs until limits or
- * @p deadline. The ISA's vector ops are included; Concat and List are
+ * has one lane), collecting candidate pairs until the grammar, the
+ * candidate caps, or the maxTerms work bound is exhausted. @p deadline
+ * is a safety net only: when it fires first, the result is marked
+ * hitDeadline. The ISA's vector ops are included; Concat and List are
  * not part of the synthesis grammar (see DESIGN.md).
  *
  * When @p workers is given (and sized above 1), cvec fingerprints are

@@ -204,15 +204,20 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     report.verifyThreads =
         parallelVerify ? static_cast<int>(workers.threadCount()) : 1;
 
-    // --- Phase 1: enumerate candidate pairs over the 1-wide ISA.
-    // Enumeration gets a slice of the budget so shrinking always has
-    // room to run.
+    // --- Phase 1: enumerate candidate pairs over the 1-wide ISA, up
+    // to the work bound. Should the safety net fire first, it cuts
+    // enumeration at three quarters of the budget (a complete run on
+    // the shipped machines spends half to two thirds of its time
+    // here), so the cut run still has time to shrink what it found.
     obs::Span enumSpan("synth/enumerate");
+    constexpr double kEnumSafetyShare = 0.75;
     Deadline enumDeadline(config.timeoutSeconds > 0
-                              ? config.timeoutSeconds * config.enumFraction
+                              ? config.timeoutSeconds * kEnumSafetyShare
                               : 0);
     EnumResult enumerated =
         enumerateTerms(isa, config.enumConfig, enumDeadline, &workers);
+    report.hitDeadline = enumerated.hitDeadline;
+    report.termsEnumerated = enumerated.termsEnumerated;
     report.candidatesConsidered = enumerated.candidates.size();
     report.enumerateSeconds = watch.elapsedSeconds();
     watch.reset();
@@ -222,11 +227,24 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     obs::counter("synth/candidates",
                  static_cast<std::int64_t>(report.candidatesConsidered));
 
+    DspCostModel costModel(config.costParams);
+    // The §3.2 compilation test: the sides differ in cost by more than
+    // alpha, so the pair would become a compilation rule.
+    auto isCompilationPair = [&](const CandidatePair &pair) {
+        auto a = static_cast<std::int64_t>(costModel.exprCost(pair.a));
+        auto b = static_cast<std::int64_t>(costModel.exprCost(pair.b));
+        return std::llabs(a - b) > config.costParams.alpha;
+    };
+    auto isShortcut = [&](const CandidatePair &pair) {
+        return config.keepShortcutCandidates && isCompilationPair(pair);
+    };
+
     // Deduplicate candidate pairs and order them smallest-first (the
     // Ruler preference: small rules are more general and derive more).
-    // Candidates are split into a vector pool (either side mentions a
-    // vector operator) and a scalar pool, processed round-robin so the
-    // scalar algebra cannot starve the vectorization rules.
+    // Candidates are split into a lift pool (a Vec literal at a root),
+    // a vector pool (either side mentions a vector operator) and a
+    // scalar pool, processed round-robin so the scalar algebra cannot
+    // starve the vectorization rules.
     std::vector<ScoredCandidate> liftPool;
     std::vector<ScoredCandidate> vectorPool;
     std::vector<ScoredCandidate> scalarPool;
@@ -262,6 +280,20 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
         std::stable_sort(liftPool.begin(), liftPool.end(), byScore);
         std::stable_sort(vectorPool.begin(), vectorPool.end(), byScore);
         std::stable_sort(scalarPool.begin(), scalarPool.end(), byScore);
+        // The rule cap is spent in pool order, and the lift pool holds
+        // many small lift identities such as
+        // (Vec (+ ?a ?a)) ~> (VecMul (Vec (+ 1 1)) (Vec ?a)) that sort
+        // ahead of larger compilation rules like
+        // (Vec (+ ?a (* ?b ?c))) ~> (VecMAC (Vec ?a) (Vec ?b) (Vec ?c)).
+        // Compilation pairs therefore go first, each group still
+        // smallest-first, so a cap keeps the rules that lower cost.
+        // Only the lift pool: in the vector and scalar pools the same
+        // order starves the expansion and optimization rules instead.
+        std::stable_partition(
+            liftPool.begin(), liftPool.end(),
+            [&](const ScoredCandidate &c) {
+                return isCompilationPair(c.pair);
+            });
     }
     obs::counter("synth/duplicate-pairs",
                  static_cast<std::int64_t>(report.duplicatePairs));
@@ -273,15 +305,6 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     std::size_t vectorCursor = 0;
     std::size_t scalarCursor = 0;
     std::size_t acceptedSincePrune = 0;
-
-    DspCostModel costModel(config.costParams);
-    auto isShortcut = [&](const CandidatePair &pair) {
-        if (!config.keepShortcutCandidates)
-            return false;
-        auto a = static_cast<std::int64_t>(costModel.exprCost(pair.a));
-        auto b = static_cast<std::int64_t>(costModel.exprCost(pair.b));
-        return std::llabs(a - b) > config.costParams.alpha;
-    };
 
     auto pruneDerivable = [&]() {
         if (compiled.empty() || acceptedSincePrune == 0)
@@ -313,7 +336,9 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
         if (ids.empty())
             return;
         eg.rebuild();
-        runEqSat(eg, compiled, config.derivLimits);
+        EqSatReport check = runEqSat(eg, compiled, config.derivLimits);
+        if (check.stop == StopReason::TimeLimit)
+            report.hitDeadline = true;
         for (auto &[cand, classes] : ids) {
             if (eg.same(classes.first, classes.second)) {
                 cand->dead = true;
@@ -435,7 +460,11 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     auto budgetLeft = [&] {
         return report.oneWideRules.size() < config.maxRules;
     };
-    while (anyAlive() && budgetLeft() && !report.hitDeadline) {
+    while (anyAlive() && budgetLeft()) {
+        if (deadline.expired()) {
+            report.hitDeadline = true;
+            break;
+        }
         pruneDerivable();
         for (int i = 0; i < config.batchSize && budgetLeft() && anyAlive();
              ++i) {
@@ -446,8 +475,6 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
             if (scalarAlive && budgetLeft())
                 scalarAlive = acceptOne(scalarPool, scalarCursor);
         }
-        if (deadline.expired())
-            report.hitDeadline = true;
     }
     report.shrinkSeconds = watch.elapsedSeconds();
     watch.reset();

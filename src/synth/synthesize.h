@@ -19,16 +19,29 @@
 namespace isaria
 {
 
-/** Budget and knobs for one offline synthesis run. */
+/**
+ * Budget and knobs for one offline synthesis run.
+ *
+ * The synthesized rule set is a function of the ISA and this config
+ * alone: every decision that shapes it is bounded by work (the
+ * enumeration term bound and candidate caps, the rule cap, the
+ * derivability checks' iteration/node/match limits), never by the
+ * clock. The wall clock can only cut a run short; a cut run is marked
+ * SynthReport::hitDeadline and never cached.
+ */
 struct SynthConfig
 {
     EnumConfig enumConfig;
     VerifyOptions verify;
-    /** Overall offline wall-clock budget in seconds (<=0 unlimited). */
+    /**
+     * Wall-clock safety net in seconds (<=0 unlimited). It does not
+     * size the run — EnumConfig::maxTerms and the caps do — and on an
+     * idle machine a default-config run finishes well inside it. When
+     * it fires (enumeration is cut at a fixed share of it so shrinking
+     * still has time for what was found), the run is marked
+     * hitDeadline.
+     */
     double timeoutSeconds = 30;
-    /** Fraction of the budget reserved for enumeration; the rest goes
-     *  to shrinking and generalization. */
-    double enumFraction = 0.35;
     /** Stop after this many accepted (directed) rules. */
     std::size_t maxRules = 600;
     /** Candidates accepted between derivability prunes. */
@@ -47,10 +60,13 @@ struct SynthConfig
      *  Disable to reproduce strict Ruler-style minimization in the
      *  ablation bench. */
     bool keepShortcutCandidates = true;
-    /** Budgets for each derivability-check saturation. Includes
-     *  EqSatLimits::numThreads: the shrinking loop's e-matching runs
-     *  on the parallel search engine, and because matches are
-     *  thread-count independent, the synthesized ruleset is too. */
+    /** Budgets for each derivability-check saturation. The iteration,
+     *  node and match limits decide the outcome; timeoutSeconds is a
+     *  safety net, and a check stopped by it marks the run
+     *  hitDeadline. Includes EqSatLimits::numThreads: the shrinking
+     *  loop's e-matching runs on the parallel search engine, and
+     *  because matches are thread-count independent, the synthesized
+     *  ruleset is too. */
     EqSatLimits derivLimits = {.maxNodes = 30'000,
                                .maxIters = 2,
                                .timeoutSeconds = 1.0,
@@ -62,9 +78,10 @@ struct SynthConfig
      * hardware concurrency; 1 = fully sequential. Verification is
      * pure, so candidates are verified speculatively in batches and
      * their accept/reject decisions committed in the sequential
-     * order — the synthesized rule set is byte-identical at any
-     * thread count (deadline exits aside, which carry the same
-     * wall-clock nondeterminism as the sequential engine). When a
+     * order; fingerprinting parallelizes but classification (which
+     * the work bound counts) stays sequential. The synthesized rule
+     * set is therefore byte-identical at any thread count, unless the
+     * timeoutSeconds safety net cuts the run (hitDeadline). When a
      * fault-injection plan is armed the run drops to the sequential
      * path so the synth-verify site keeps its deterministic arrival
      * ordinals.
@@ -80,6 +97,8 @@ struct SynthReport
     /** Rules generalized to the ISA's vector width — the compiler's
      *  rule set. */
     RuleSet rules;
+    /** Terms enumeration classified (see EnumConfig::maxTerms). */
+    std::size_t termsEnumerated = 0;
     std::size_t candidatesConsidered = 0;
     std::size_t rejectedUnsound = 0;
     std::size_t prunedDerivable = 0;
@@ -94,6 +113,9 @@ struct SynthReport
     double enumerateSeconds = 0;
     double shrinkSeconds = 0;
     double generalizeSeconds = 0;
+    /** The timeoutSeconds safety net cut the run — in enumeration,
+     *  the shrink loop, or a derivability check — so the rule set
+     *  depends on the clock. Such a run is never cached. */
     bool hitDeadline = false;
     /** Verification threads actually used (resolved from numThreads). */
     int verifyThreads = 1;

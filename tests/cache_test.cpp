@@ -129,6 +129,10 @@ TEST(Fingerprint, SensitiveToEveryInputFamily)
     EXPECT_NE(base, synthFingerprint(isa, c));
 
     c = config;
+    c.enumConfig.maxTerms += 1;
+    EXPECT_NE(base, synthFingerprint(isa, c));
+
+    c = config;
     c.verify.samples += 1;
     EXPECT_NE(base, synthFingerprint(isa, c));
 

@@ -161,9 +161,9 @@ TEST(Timer, DeadlineExpires)
 {
     Deadline d(1e-9);
     // Burn a little time.
-    volatile int sink = 0;
-    for (int i = 0; i < 100000; ++i)
-        sink += i;
+    volatile unsigned sink = 0; // unsigned: the sum wraps, no UB
+    for (unsigned i = 0; i < 100000; ++i)
+        sink = sink + i;
     EXPECT_TRUE(d.expired());
 }
 
@@ -193,6 +193,25 @@ TEST(ThreadPool, ReusableAcrossJobs)
     EXPECT_EQ(sum.load(), 50 * (99 * 100 / 2));
 }
 
+TEST(ThreadPool, LateWorkerNeverJoinsTheNextJob)
+{
+    // Back-to-back 2-task jobs on a 4-worker pool: the caller and one
+    // worker usually finish a job before the other workers wake, so a
+    // late worker routinely finds its job already ended and the next
+    // one being seeded. It must sit that generation out — joining it
+    // would call through the cleared function or corrupt the next
+    // job's pending count.
+    ThreadPool pool(4);
+    std::atomic<std::int64_t> sum{0};
+    constexpr int kJobs = 20'000;
+    for (int job = 0; job < kJobs; ++job) {
+        pool.parallelFor(2, [&](std::size_t i) {
+            sum.fetch_add(static_cast<std::int64_t>(i) + 1);
+        });
+    }
+    EXPECT_EQ(sum.load(), std::int64_t{kJobs} * 3);
+}
+
 TEST(ThreadPool, StealsUnevenWork)
 {
     // One chunk gets nearly all the work; stealing must still finish
@@ -202,9 +221,9 @@ TEST(ThreadPool, StealsUnevenWork)
     pool.parallelFor(1, [&](std::size_t) { done.fetch_add(1); });
     pool.parallelFor(2, [&](std::size_t i) {
         if (i == 0) {
-            volatile int spin = 0;
-            for (int k = 0; k < 2'000'000; ++k)
-                spin += k;
+            volatile unsigned spin = 0; // unsigned: wraps, no UB
+            for (unsigned k = 0; k < 2'000'000; ++k)
+                spin = spin + k;
         }
         done.fetch_add(1);
     });

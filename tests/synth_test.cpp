@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "compiler/pipeline.h"
+#include "isa/machine_desc.h"
 #include "support/thread_pool.h"
 #include "synth/synthesize.h"
 #include "term/sexpr.h"
@@ -299,6 +301,34 @@ TEST(Synthesize, ByteIdenticalAcrossThreadCounts)
     // 1-thread run verifies inline and never prefetches).
     EXPECT_GT(parallel.prefetchedVerifications, 0u);
     EXPECT_EQ(sequential.prefetchedVerifications, 0u);
+}
+
+// The rule set is a function of the ISA and the config. Under the
+// integration suite's configuration (the session machine's defaults
+// and a 20 s safety net) the work bounds, not the clock, end every
+// phase, so the run is never deadline-cut and every thread count
+// yields the same bytes. ByteIdenticalAcrossThreadCounts above runs
+// with no deadline and tiny caps, so it never reaches the clock.
+TEST(Synthesize, IntegrationConfigIsClockIndependent)
+{
+    const MachineDesc &machine = MachineDesc::fromEnv();
+    IsaSpec isa(machine);
+    SynthConfig config = synthConfigFor(machine);
+    config.timeoutSeconds = 20;
+    std::string reference;
+    for (int threads : {1, 2, 4}) {
+        config.numThreads = threads;
+        config.derivLimits.numThreads = threads;
+        SynthReport report = synthesizeRules(isa, config);
+        EXPECT_FALSE(report.hitDeadline) << threads << " threads";
+        std::string text = report.rules.toString();
+        if (reference.empty())
+            reference = text;
+        else
+            EXPECT_TRUE(text == reference)
+                << "rule set at " << threads
+                << " threads differs from the 1-thread one";
+    }
 }
 
 TEST(Synthesize, CustomInstructionsEnterTheRuleset)
