@@ -313,13 +313,11 @@ main(int argc, char **argv)
                      threads, seconds, report.rules.size());
     }
 
-    // (3) Full Fig. 3 compiles (and the speculative variant, which
-    // must never extract a worse program).
+    // (3) Full Fig. 3 compiles.
     KernelSpec spec = quick ? KernelSpec::conv2d(3, 3, 2, 2)
                             : KernelSpec::conv2d(4, 4, 3, 3);
     KernelHarness harness(spec);
     double compileBase = 0;
-    std::uint64_t plainCost = 0;
     for (int threads : threadList) {
         CompilerConfig config;
         config.withEqSatThreads(threads);
@@ -331,10 +329,8 @@ main(int argc, char **argv)
         RecExpr out = compiler.compile(harness.scalarProgram(), &stats);
         double seconds = watch.elapsedSeconds();
         (void)out;
-        if (threads == 1) {
+        if (threads == 1)
             compileBase = seconds;
-            plainCost = stats.finalCost;
-        }
         BenchJsonObject &row = json.newRow();
         row.text("suite", "compile");
         row.integer("threads", threads);
@@ -345,33 +341,6 @@ main(int argc, char **argv)
                     static_cast<std::int64_t>(stats.finalCost));
         std::fprintf(stderr, "[scaling] compile %d threads: %.3fs\n",
                      threads, seconds);
-    }
-    {
-        CompilerConfig config;
-        config.withEqSatThreads(1).withSpeculation(true);
-        if (quick)
-            config.maxLoopIterations = 3;
-        IsariaCompiler compiler = makeDiospyrosCompiler(config);
-        CompileStats stats;
-        Stopwatch watch;
-        RecExpr out = compiler.compile(harness.scalarProgram(), &stats);
-        (void)out;
-        BenchJsonObject &row = json.newRow();
-        row.text("suite", "compile-speculative");
-        row.integer("threads", 1);
-        row.number("seconds", watch.elapsedSeconds());
-        row.integer("final_cost",
-                    static_cast<std::int64_t>(stats.finalCost));
-        row.integer("rollbacks",
-                    static_cast<std::int64_t>(stats.speculativeRollbacks));
-        row.boolean("not_worse_than_plain",
-                    stats.finalCost <= plainCost);
-        std::fprintf(stderr,
-                     "[scaling] speculative compile: cost %llu vs plain "
-                     "%llu, %d rollback(s)\n",
-                     static_cast<unsigned long long>(stats.finalCost),
-                     static_cast<unsigned long long>(plainCost),
-                     stats.speculativeRollbacks);
     }
 
     json.summary().integer("num_cpus_observed",

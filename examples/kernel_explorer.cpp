@@ -7,7 +7,6 @@
 //   kernel_explorer [conv R C KR KC | matmul N M K | qprod | qrd N]
 //                   [--target=NAME]
 //                   [--asm] [--budget SECONDS] [--optimize]
-//                   [--speculate]
 //                   [--eqsat-threads=N] [--mem-mb=N] [--fault=SPEC]
 //                   [--eqsat-scheduler={simple,backoff}]
 //                   [--eqsat-match-limit=N] [--eqsat-ban-length=N]
@@ -53,14 +52,6 @@
 // absorbs every injected fault; the degradation path taken is
 // printed after the cycle table.
 //
-// --speculate runs the Fig. 3 compile loop speculatively on one
-// persistent e-graph: every round runs under an e-graph snapshot and
-// is rewound by snapshot/restore afterwards — the pruning step — so
-// each round saturates into the previous round's recycled arena
-// memory instead of a freshly grown heap. Produces the same program
-// as the default loop, never a worse one; a non-improving round is
-// reported as a rollback.
-//
 // --optimize additionally runs the post-lowering machine passes
 // (MAC fusion, DCE, dual-issue scheduling) on the Isaria output and
 // reports the extra cycles they recover.
@@ -103,7 +94,6 @@ main(int argc, char **argv)
     KernelSpec spec = KernelSpec::conv2d(4, 4, 3, 3);
     bool dumpAsm = false;
     bool optimize = false;
-    bool speculate = false;
     double budget = 20;
     int eqsatThreads = 0; // 0 = auto (env / hardware concurrency)
     EqSatScheduler scheduler = EqSatScheduler::Simple;
@@ -133,8 +123,6 @@ main(int argc, char **argv)
             dumpAsm = true;
         } else if (arg == "--optimize") {
             optimize = true;
-        } else if (arg == "--speculate") {
-            speculate = true;
         } else if (arg == "--budget" && i + 1 < argc) {
             budget = std::atof(argv[i + 1]);
             i += 1;
@@ -215,7 +203,6 @@ main(int argc, char **argv)
     compilerConfig.withScheduler(scheduler, schedMatchLimit,
                                  schedBanLength);
     compilerConfig.withMemLimitBytes(memLimitMb * 1024 * 1024);
-    compilerConfig.withSpeculation(speculate);
     compilerConfig.memoEntries = memoEntries;
     // Ctrl-C during a long exploration degrades the in-flight compile
     // to best-so-far instead of killing the run mid-saturation
@@ -263,10 +250,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     isariaOut.compileStats.finalCost));
     const CompileStats &ist = isariaOut.compileStats;
-    if (speculate)
-        std::printf("Speculation: %d round%s rolled back\n",
-                    ist.speculativeRollbacks,
-                    ist.speculativeRollbacks == 1 ? "" : "s");
     if (ist.degradation != DegradeLevel::None) {
         std::printf("\nDegradation: %s (%d fault%s injected%s)\n",
                     degradeLevelName(ist.degradation),

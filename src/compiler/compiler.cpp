@@ -7,7 +7,6 @@
 #include "egraph/extract.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "support/fault.h"
 #include "support/panic.h"
 #include "support/timer.h"
 
@@ -56,8 +55,6 @@ struct CompileMetrics
     obs::CounterHandle degraded = obs::metricCounter("compile/degraded");
     obs::CounterHandle faults =
         obs::metricCounter("compile/faults_injected");
-    obs::CounterHandle rollbacks =
-        obs::metricCounter("compile/speculative_rollbacks");
     obs::GaugeHandle finalCost = obs::metricGauge("compile/final_cost");
 };
 
@@ -133,13 +130,6 @@ CompileStats::toString() const
                       optimization.toString().c_str());
         out += line;
     }
-    if (speculativeRollbacks > 0) {
-        std::snprintf(line, sizeof line,
-                      "  speculation: %d round%s rolled back\n",
-                      speculativeRollbacks,
-                      speculativeRollbacks == 1 ? "" : "s");
-        out += line;
-    }
     if (degradation != DegradeLevel::None) {
         std::snprintf(line, sizeof line,
                       "  degraded: %s (%d fault%s injected)\n",
@@ -177,9 +167,6 @@ IsariaCompiler::compile(const RecExpr &program,
                        static_cast<std::int64_t>(st.finalCost));
         obs::metricAdd(cm.faults,
                        static_cast<std::uint64_t>(st.faultsInjected));
-        obs::metricAdd(
-            cm.rollbacks,
-            static_cast<std::uint64_t>(st.speculativeRollbacks));
     };
 
     const DspCostModel &cost = config.costModel;
@@ -325,89 +312,6 @@ IsariaCompiler::compileImpl(const RecExpr &program,
 
     std::uint64_t oldCost = st.initialCost;
 
-    if (config.speculation) {
-        // Speculative phase exploration: the Fig. 3 pruning loop on
-        // ONE persistent e-graph. Each round snapshots the graph
-        // while it is empty, seeds it with the best program so far,
-        // saturates, extracts, and then restore()s back to empty —
-        // after an improving round as much as a non-improving one.
-        // The restore is the pruning step: it throws away the
-        // saturated closure but keeps every arena chunk hot, so
-        // rounds after the first saturate into recycled memory
-        // instead of growing a fresh heap each time. Because each
-        // round therefore sees exactly the seed the non-speculative
-        // pruning loop would build, speculation never emits a worse
-        // program; a round whose extraction fails to improve is
-        // counted as a rollback and ends the loop, mirroring the
-        // plain loop's fixed-point test.
-        EGraph eg;
-        for (int iter = 0; iter < config.maxLoopIterations; ++iter) {
-            ++st.loopIterations;
-            obs::Span roundSpan("compile/round", iter + 1);
-            ScopedLatency roundLatency(compileMetrics().roundNs);
-            RoundStats round;
-            round.round = iter + 1;
-            round.ranExpansion = true;
-            std::uint64_t newCost = oldCost;
-            eg.snapshot();
-            bool roundFailed = false;
-            try {
-                EClassId root = eg.addExpr(current);
-                round.expansion =
-                    runEqSat(eg, expansion_, config.expansionLimits);
-                note("expansion", round.round, round.expansion);
-                round.compilation = runEqSat(eg, compilation_,
-                                             config.compilationLimits);
-                note("compilation", round.round, round.compilation);
-                Extracted best = extractChecked(eg, root);
-                round.extractedCost = best.cost;
-                st.rounds.push_back(round);
-                obs::counter("compile/cost",
-                             static_cast<std::int64_t>(best.cost));
-                newCost = best.cost;
-                if (newCost < oldCost)
-                    current = std::move(best.expr);
-            } catch (const std::exception &e) {
-                noteDegrade(st, DegradeLevel::RoundFallback,
-                            "round " + std::to_string(round.round) +
-                                " failed (" + e.what() +
-                                "); keeping the previous round's "
-                                "program");
-                st.rounds.push_back(round);
-                roundFailed = true;
-            }
-            bool improved = !roundFailed && newCost < oldCost;
-            if (improved) {
-                oldCost = newCost;
-            } else if (!roundFailed) {
-                ++st.speculativeRollbacks;
-                obs::counter(
-                    "compile/speculative/rollback",
-                    static_cast<std::int64_t>(st.speculativeRollbacks));
-            }
-            // Rewind to the empty graph either way. A failed rollback
-            // — the "egraph-snapshot-restore" fault site fires before
-            // any mutation — leaves the graph exactly as it was, so
-            // the best-so-far result stands; the loop just cannot
-            // recycle the graph and stops.
-            try {
-                eg.restore();
-            } catch (const FaultInjected &) {
-                ++st.faultsInjected;
-                noteDegrade(st, DegradeLevel::BestSoFar,
-                            "round " + std::to_string(round.round) +
-                                ": speculative rollback absorbed an "
-                                "injected fault; keeping best-so-far");
-                eg.discardSnapshot();
-                break;
-            }
-            // A cancelled round still extracted best-so-far above;
-            // stop iterating instead of burning more rounds.
-            if (!improved || (token && token->cancelled()))
-                break;
-        }
-    } else {
-
     // The Fig. 3 loop. With pruning each round restarts from a fresh
     // e-graph seeded with the previous extraction; the ablation keeps
     // one e-graph across rounds.
@@ -467,8 +371,6 @@ IsariaCompiler::compileImpl(const RecExpr &program,
             break;
         oldCost = newCost;
     }
-
-    } // !config.speculation
 
     // Final phase: optimize the chosen vectorization. Failure keeps
     // the unoptimized (still valid) program.

@@ -58,21 +58,6 @@ struct CompilerConfig
     int maxLoopIterations = 10;
     /** Greedy pruning between loop iterations (Section 3.3). */
     bool pruning = true;
-    /**
-     * Speculative phase exploration: the improve loop keeps one
-     * persistent e-graph across rounds. Each round snapshots the
-     * empty graph, seeds it with the best program so far, saturates,
-     * extracts, and is rolled back with restore() whether it improved
-     * or not — only `current` (the extracted term) advances; the
-     * saturated equalities are not carried into later rounds. The
-     * payoff is memory recycling: restore() keeps every arena chunk
-     * hot, so rounds after the first saturate into recycled chunks
-     * instead of growing a fresh heap per round. Never emits a worse
-     * program than the non-speculative loop: `current` only advances
-     * on a strict cost improvement, and every round sees exactly the
-     * seeded graph the plain pruning loop would build.
-     */
-    bool speculation = false;
     /** Phase-scheduled saturation; false = one saturation over the
      *  whole rule set (the Section 2.2 / 5.2 strawman). */
     bool phasing = true;
@@ -135,14 +120,6 @@ struct CompilerConfig
         expansionLimits.cancel = token;
         compilationLimits.cancel = token;
         optLimits.cancel = token;
-        return *this;
-    }
-
-    /** Toggles speculative phase exploration (see `speculation`). */
-    CompilerConfig &
-    withSpeculation(bool on)
-    {
-        speculation = on;
         return *this;
     }
 
@@ -264,9 +241,6 @@ struct CompileStats
     std::vector<std::string> degradeEvents;
     /** Saturations whose stop was forced by an injected fault. */
     int faultsInjected = 0;
-    /** Rounds the speculative loop rolled back for not improving the
-     *  extracted cost (always 0 without CompilerConfig::speculation). */
-    int speculativeRollbacks = 0;
     /** The result came from the compiler's in-memory memo; no eqsat
      *  work ran (see CompilerConfig::memoEntries). */
     bool memoHit = false;

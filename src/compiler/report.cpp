@@ -5,7 +5,6 @@
 
 #include "isa/machine_desc.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 
 namespace isaria
 {
@@ -71,8 +70,6 @@ CompileReport::toJson() const
     out += ",\"peak_nodes\":" + std::to_string(st.peakNodes);
     out += ",\"ran_out_of_memory\":" + boolJson(st.ranOutOfMemory);
     out += ",\"memo_hit\":" + boolJson(st.memoHit);
-    out += ",\"speculative_rollbacks\":" +
-           std::to_string(st.speculativeRollbacks);
     out += ",\"degradation\":\"" +
            std::string(degradeLevelName(st.degradation)) + "\"";
     out += ",\"faults_injected\":" + std::to_string(st.faultsInjected);
@@ -101,7 +98,6 @@ CompileReport::toJson() const
     out += ",\"ran_optimization\":" + boolJson(st.ranOptimization);
     if (st.ranOptimization)
         out += ",\"optimization\":" + eqSatReportJson(st.optimization);
-    out += ",\"metrics\":" + obs::metricsJson(obs::snapshotMetrics());
     out += "}";
     return out;
 }

@@ -8,8 +8,10 @@
  * answer "what did this request cost and did it degrade" — wall time,
  * cost trajectory, per-round saturation reports (stop reason, node /
  * class / byte counts, search and apply seconds, scheduler activity),
- * the degradation ladder, memoization, and the process metrics
- * registry's histogram quantiles at emission time.
+ * the degradation ladder, and memoization. Process-wide metrics are
+ * not part of it: they describe the process, not the compile, and
+ * stay with the registry's own export paths (`GET /metrics`,
+ * `--metrics=FILE`, `--stats`).
  *
  * This is the exact payload the future compile-as-a-service daemon
  * (ROADMAP item 1) streams back per request; today it is reachable as
@@ -27,8 +29,10 @@ namespace isaria
 {
 
 /** Version stamped into every CompileReport ("schema_version").
- *  v2: added "target" (the machine description's canonical name). */
-inline constexpr int kCompileReportSchemaVersion = 2;
+ *  v2: added "target" (the machine description's canonical name).
+ *  v3: dropped the speculative loop's rollback count and the
+ *  "metrics" block. */
+inline constexpr int kCompileReportSchemaVersion = 3;
 
 /** One compile() call's structured outcome. */
 struct CompileReport
@@ -42,8 +46,7 @@ struct CompileReport
     std::string target;
     CompileStats stats;
 
-    /** The report as a single JSON object (embeds the current metrics
-     *  registry snapshot under "metrics"). */
+    /** The report as a single JSON object. */
     std::string toJson() const;
 };
 

@@ -6,8 +6,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "support/fault.h"
 #include "support/panic.h"
 
@@ -89,9 +87,6 @@ EGraph::EGraph(const EGraph &other)
         for (EClassId id : other.opClasses_[i])
             opClasses_[i].push_back(mem_->arena, id);
     }
-    classEpoch_.assign(other.classes_.size(), 0);
-    // The outstanding snapshot (if any) stays with the source; the
-    // copy starts with none.
 }
 
 std::size_t
@@ -123,20 +118,6 @@ EGraph::graphCopy(const ENode &node) const
     return out;
 }
 
-void
-EGraph::touch(EClassId id)
-{
-    if (!snapActive_ || id >= snapNumIds_ ||
-        classEpoch_[id] == snapEpoch_)
-        return;
-    classEpoch_[id] = snapEpoch_;
-    // The journal copy is a plain deep copy (heap-owned children):
-    // restore() rewinds the arena, so journal storage must not live
-    // in it.
-    journal_.emplace_back(id, classes_[id]);
-    journalOpMask_.push_back(opMask_[id]);
-}
-
 EClassId
 EGraph::add(ENode node)
 {
@@ -158,13 +139,10 @@ EGraph::add(ENode node)
     classes_[id].nodes.push_back(graphCopy(canon));
     opMask_.push_back(1u << opBit(canon.op));
     opClasses_[opBit(canon.op)].push_back(mem_->arena, id);
-    classEpoch_.push_back(0);
     ++liveNodes_;
     ++liveClasses_;
-    for (EClassId child : canon.children) {
-        touch(child);
+    for (EClassId child : canon.children)
         classes_[child].parents.emplace_back(graphCopy(canon), id);
-    }
     memo_.emplace(graphCopy(canon), id);
     return id;
 }
@@ -204,9 +182,6 @@ EGraph::merge(EClassId a, EClassId b)
     EClassId rb = uf_.find(b);
     if (ra == rb)
         return false;
-
-    touch(ra);
-    touch(rb);
 
     ++generation_;
     EClassId keep = uf_.join(ra, rb);
@@ -279,7 +254,6 @@ EGraph::repair(EClassId id)
 {
     // Detach the stale parent list first: merges below may move
     // parent lists around, invalidating references into classes_.
-    touch(id);
     std::vector<std::pair<ENode, EClassId>> parents;
     parents.swap(classes_[id].parents);
 
@@ -326,9 +300,7 @@ EGraph::repair(EClassId id)
 
     // repair() may run on a class that has since been merged away;
     // route the refreshed parent list to the current representative.
-    EClassId tid = uf_.find(id);
-    touch(tid);
-    EClass &target = classes_[tid];
+    EClass &target = classes_[uf_.find(id)];
     for (auto &[node, cid] : newParents) {
         bytesUsed_ += nodeBytes(node) + sizeof(EClassId);
         target.parents.emplace_back(graphCopy(node), uf_.find(cid));
@@ -353,7 +325,6 @@ EGraph::dedupNodesInPlace(EClassId id)
     EClass &self = classes_[id];
     if (self.nodes.empty())
         return;
-    touch(id);
     if (self.nodes.size() == 1) {
         self.nodes.front().canonicalize(uf_);
         return;
@@ -504,132 +475,6 @@ EGraph::bytesUsedSlow() const
     return total;
 }
 
-void
-EGraph::snapshot()
-{
-    ISARIA_ASSERT(!dirty(),
-                  "snapshot of a dirty e-graph (rebuild() first)");
-    // A new snapshot replaces any outstanding one (LIFO depth 1).
-    snapActive_ = true;
-    ++snapEpoch_;
-    journal_.clear();
-    journalOpMask_.clear();
-    snapMark_ = mem_->arena.mark();
-    snapUfParents_ = uf_.snapshotParents();
-    snapNumIds_ = classes_.size();
-    snapLiveNodes_ = liveNodes_;
-    snapLiveClasses_ = liveClasses_;
-    snapBytesUsed_ = bytesUsed_;
-    ++numSnapshots_;
-    obs::counter("egraph/arena/snapshots",
-                 static_cast<std::int64_t>(numSnapshots_));
-    static const obs::CounterHandle snapshots =
-        obs::metricCounter("egraph/arena/snapshots");
-    obs::metricAdd(snapshots);
-}
-
-void
-EGraph::restore()
-{
-    // The injection site fires before any mutation: a failed restore
-    // leaves the graph exactly as it was (still usable, snapshot still
-    // outstanding).
-    faultPoint(FaultSite::SnapshotRestore);
-    ISARIA_ASSERT(snapActive_, "restore without an outstanding snapshot");
-
-    // Pending merges past the snapshot are being thrown away wholesale.
-    worklist_.clear();
-
-    // Journaled (first-touch) classes get their pre-snapshot contents
-    // back; classes created since the snapshot are dropped entirely.
-    for (std::size_t i = 0; i < journal_.size(); ++i) {
-        auto &[id, cls] = journal_[i];
-        classes_[id] = std::move(cls);
-        opMask_[id] = journalOpMask_[i];
-    }
-    journal_.clear();
-    journalOpMask_.clear();
-    classes_.resize(snapNumIds_);
-    opMask_.resize(snapNumIds_);
-    classEpoch_.resize(snapNumIds_);
-    uf_.restoreParents(std::move(snapUfParents_));
-
-    // The hashcons may hold arena nodes past the mark; reconstruct it
-    // empty (clear() would keep a possibly-arena bucket array), let
-    // its nodes drain to the pool's free lists, drop the free blocks
-    // the rewind is about to invalidate, then rewind.
-    memo_ = MemoMap(0, ENodeHash{}, std::equal_to<ENode>{},
-                    MemoAlloc(mem_.get()));
-    mem_->dropFreeBlocksAtOrAfter(snapMark_);
-    mem_->arena.release(snapMark_);
-
-    rebuildDerivedIndexes();
-
-    liveNodes_ = snapLiveNodes_;
-    liveClasses_ = snapLiveClasses_;
-    bytesUsed_ = snapBytesUsed_;
-    // The restored state is structurally the snapshot's, but the
-    // generation still advances: derived caches built between snapshot
-    // and restore point into storage the rewind just reclaimed, and
-    // must not revalidate.
-    ++generation_;
-    ++numRestores_;
-    snapActive_ = false;
-    obs::counter("egraph/arena/restores",
-                 static_cast<std::int64_t>(numRestores_));
-    static const obs::CounterHandle restores =
-        obs::metricCounter("egraph/arena/restores");
-    obs::metricAdd(restores);
-}
-
-void
-EGraph::discardSnapshot()
-{
-    ISARIA_ASSERT(snapActive_, "discard without an outstanding snapshot");
-    snapActive_ = false;
-    snapUfParents_.clear();
-    snapUfParents_.shrink_to_fit();
-    journal_.clear();
-    journalOpMask_.clear();
-}
-
-void
-EGraph::rebuildDerivedIndexes()
-{
-    // The op-index lists' buffers may postdate the mark; forget them
-    // all and repopulate from the restored class table. Iterating ids
-    // ascending leaves each per-op list sorted and duplicate-free, the
-    // same form classesWithOp() compacts to.
-    //
-    // Buffers the lists held from *before* the mark are abandoned, not
-    // recycled: they sit below the frontier, so release() never
-    // reclaims them and ArenaVector growth never reuses them. Each
-    // snapshot/restore cycle on a non-empty graph therefore retires
-    // one generation of op-list buffers into the arena. The compile
-    // loop always snapshots the empty graph (pre-mark lists are
-    // empty, nothing is abandoned); callers snapshotting a populated
-    // graph repeatedly should expect bytesReserved() to creep by the
-    // op-index footprint per cycle.
-    for (ArenaVector<EClassId> &list : opClasses_)
-        list.resetStorage();
-    for (EClassId id = 0; id < classes_.size(); ++id) {
-        if (uf_.find(id) != id)
-            continue;
-        std::uint32_t mask = opMask_[id];
-        while (mask) {
-            unsigned bit = static_cast<unsigned>(__builtin_ctz(mask));
-            mask &= mask - 1;
-            opClasses_[bit].push_back(mem_->arena, id);
-        }
-        // On a clean graph the hashcons is exactly { canonical member
-        // node -> its class }, so rebuilding it from the class table
-        // reproduces the snapshot's memo byte-for-byte. (No accounting
-        // here: the caller restores bytesUsed() wholesale.)
-        for (const ENode &node : classes_[id].nodes)
-            memo_.emplace(graphCopy(node), id);
-    }
-}
-
 EGraphArenaStats
 EGraph::arenaStats() const
 {
@@ -640,8 +485,6 @@ EGraph::arenaStats() const
     stats.numChunks = mem_->arena.numChunks();
     stats.allocations = mem_->arena.allocations();
     stats.chunkAllocations = mem_->arena.chunkAllocations();
-    stats.snapshots = numSnapshots_;
-    stats.restores = numRestores_;
     return stats;
 }
 

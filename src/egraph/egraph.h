@@ -37,24 +37,6 @@
  * bytesUsed() is maintained at every mutation site and equals
  * bytesUsedSlow()'s full recount (tests pin this), so the runner's
  * maxBytes guard cannot drift.
- *
- * **Snapshot/restore.** snapshot() captures the arena's high-water
- * mark, the union-find forest, and an epoch number; mutations then
- * journal the first touch of each pre-existing class. restore()
- * rewinds the arena, puts journaled classes and the forest back,
- * truncates everything created since, and rebuilds the derived
- * indexes — returning the graph to a state structurally identical to
- * the snapshot (same classes, nodes, and extraction results; the
- * generation still advances, so stale derived caches cannot
- * revalidate). One snapshot is outstanding at a time; taking a new
- * one replaces the old. The compile loop uses this for speculative
- * phase exploration: try a phase, keep it if the extracted cost
- * improved, roll it back otherwise. Restoring is cheapest when the
- * snapshot was taken on an empty graph (the compile loop's pattern):
- * snapshotting a *populated* graph repeatedly leaks one generation of
- * op-index list buffers into the arena per cycle, because the rebuilt
- * lists cannot reuse buffers that sit below the mark (see
- * rebuildDerivedIndexes()).
  */
 
 #include <cstdint>
@@ -125,13 +107,13 @@ class OpClassesView
     std::uint64_t generation_ = 0;
 };
 
-/** Allocation and snapshot statistics of one e-graph's arena. */
+/** Allocation statistics of one e-graph's arena. */
 struct EGraphArenaStats
 {
     /** False when ISARIA_EGRAPH_ARENA=0 routed node allocations to
      *  the global allocator (the A/B baseline). */
     bool arenaEnabled = false;
-    /** Live bytes at the arena frontier (rewinds with restore). */
+    /** Live bytes at the arena frontier. */
     std::uint64_t bytesAllocated = 0;
     /** Chunk capacity resident (never shrinks). */
     std::uint64_t bytesReserved = 0;
@@ -141,8 +123,6 @@ struct EGraphArenaStats
     /** Monotonic count of chunks obtained from the heap — the
      *  graph's actual allocator traffic for arena-backed storage. */
     std::uint64_t chunkAllocations = 0;
-    std::uint64_t snapshots = 0;
-    std::uint64_t restores = 0;
 };
 
 /** Hash-consed congruence-closed e-graph. */
@@ -154,8 +134,8 @@ class EGraph
     /**
      * Deep copy. The copy gets a fresh graphId() (the implicit copy
      * would have duplicated it, silently breaking the process-unique
-     * contract that derived caches key on), a fresh arena, and no
-     * outstanding snapshot; every copied node owns its storage.
+     * contract that derived caches key on) and a fresh arena; every
+     * copied node owns its storage.
      */
     EGraph(const EGraph &other);
     EGraph(EGraph &&) noexcept = default;
@@ -233,10 +213,9 @@ class EGraph
      * Monotonic count of structural mutations: bumped by every add()
      * that inserts a new e-node, every merge() that joins two distinct
      * classes (congruence repairs inside rebuild() go through merge(),
-     * so they bump it too), and every restore() — the restored state
-     * is structurally the snapshot's, but caches built in between must
-     * not revalidate. Derived caches — op-index views, the extraction
-     * dependency index — are valid exactly while this stays unchanged.
+     * so they bump it too). Derived caches — op-index views, the
+     * extraction dependency index — are valid exactly while this stays
+     * unchanged.
      */
     std::uint64_t generation() const { return generation_; }
 
@@ -292,38 +271,7 @@ class EGraph
     /** True when merges since the last rebuild() are pending. */
     bool dirty() const { return !worklist_.empty(); }
 
-    // -----------------------------------------------------------------
-    // Snapshot / restore (speculative phase exploration).
-
-    /**
-     * Captures the current state: arena high-water mark, union-find
-     * forest, live counters. The graph must be clean (rebuilt).
-     * Subsequent mutations journal the first touch of each
-     * pre-existing class; restore() undoes everything since. At most
-     * one snapshot is outstanding — taking another replaces it.
-     */
-    void snapshot();
-
-    /**
-     * Rolls the graph back to the outstanding snapshot: journaled
-     * classes and the union-find forest are restored, classes created
-     * since are dropped, the arena rewinds to its mark, and the
-     * hash-cons and op-index are rebuilt from the restored classes.
-     * The result is structurally identical to the snapshot state
-     * (same classes, nodes, counters, and extraction results).
-     * Consumes the snapshot. Fault-injection site
-     * "egraph-snapshot-restore" fires before any mutation, so a
-     * failed restore leaves the graph exactly as it was.
-     */
-    void restore();
-
-    /** Drops the outstanding snapshot, keeping the current state. */
-    void discardSnapshot();
-
-    /** True while a snapshot is outstanding. */
-    bool snapshotActive() const { return snapActive_; }
-
-    /** Allocation/snapshot counters (obs: egraph/arena/...). */
+    /** Arena allocation counters (obs: egraph/arena/...). */
     EGraphArenaStats arenaStats() const;
 
   private:
@@ -337,12 +285,6 @@ class EGraph
     /** A copy of @p node for storage inside this graph: spill
      *  children land in the arena (heap when the arena is off). */
     ENode graphCopy(const ENode &node) const;
-
-    /** Journals @p id's class on its first mutation after snapshot(). */
-    void touch(EClassId id);
-
-    /** Rebuilds memo_ and opClasses_ from the (clean) class table. */
-    void rebuildDerivedIndexes();
 
     static unsigned opBit(Op op) { return static_cast<unsigned>(op); }
 
@@ -391,23 +333,6 @@ class EGraph
     std::vector<ArenaVector<EClassId>> opClasses_ =
         std::vector<ArenaVector<EClassId>>(
             static_cast<std::size_t>(Op::NumOps));
-
-    // Snapshot state. classEpoch_[id] records the snapshot epoch that
-    // last journaled class id, so each class is copied at most once
-    // per snapshot (first-touch journaling).
-    bool snapActive_ = false;
-    std::uint64_t snapEpoch_ = 0;
-    Arena::Mark snapMark_;
-    std::vector<EClassId> snapUfParents_;
-    std::size_t snapNumIds_ = 0;
-    std::size_t snapLiveNodes_ = 0;
-    std::size_t snapLiveClasses_ = 0;
-    std::size_t snapBytesUsed_ = 0;
-    std::vector<std::pair<EClassId, EClass>> journal_;
-    std::vector<std::uint32_t> journalOpMask_;
-    std::vector<std::uint64_t> classEpoch_;
-    std::uint64_t numSnapshots_ = 0;
-    std::uint64_t numRestores_ = 0;
 };
 
 inline void

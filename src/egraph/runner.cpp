@@ -464,6 +464,10 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
         obs::Span applySpan("eqsat/apply");
         std::vector<std::size_t> ruleApplied(rules.size());
         bool changed = false;
+        // Set when a stop source cut the apply phase short: the matches
+        // left unapplied may still change the graph, so an unchanged
+        // prefix is no evidence of saturation.
+        bool applyCut = false;
         std::size_t nodesBefore = egraph.numNodes();
         bool pending = true;
         std::size_t applied = 0;
@@ -485,6 +489,7 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
                      (limits.maxBytes &&
                       egraph.bytesUsed() >= limits.maxBytes))) {
                     pending = false;
+                    applyCut = true;
                     break;
                 }
             }
@@ -563,7 +568,7 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
             }
         }
 
-        if (!changed) {
+        if (!changed && !applyCut) {
             // An unchanged iteration is only saturation if the
             // scheduler held nothing back. Otherwise lift every ban
             // and run one more full iteration: if *that* changes

@@ -59,22 +59,6 @@ class UnionFind
 
     std::size_t size() const { return parents_.size(); }
 
-    /**
-     * A verbatim copy of the parent array, for EGraph::snapshot().
-     * Journaling individual writes would be unsound here: path
-     * compression rewrites arbitrary entries during reads, so the
-     * only faithful record of the pre-snapshot forest is the whole
-     * array.
-     */
-    std::vector<EClassId> snapshotParents() const { return parents_; }
-
-    /** Restores a forest captured by snapshotParents(). */
-    void
-    restoreParents(std::vector<EClassId> parents)
-    {
-        parents_ = std::move(parents);
-    }
-
   private:
     // find() is logically const; the mutable parent vector allows
     // path compression during reads.

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/export.h"
 
@@ -47,11 +48,15 @@ struct HistogramShard
 
 struct Shard
 {
-    /** Deques: slots must not move when another metric registers
-     *  (atomics are neither movable nor copyable). */
+    /** Slots must not move when another metric registers (atomics
+     *  are neither movable nor copyable): counters live in a deque,
+     *  histograms in cells of their own, so that the record path
+     *  finds a histogram with one size check and one load. */
     std::deque<std::atomic<std::uint64_t>> counters;
-    std::deque<HistogramShard> histograms;
+    std::vector<std::unique_ptr<HistogramShard>> histograms;
 };
+
+thread_local Shard *tlShard = nullptr;
 
 struct MetricDef
 {
@@ -128,7 +133,25 @@ class Registry
     void
     histogramRecord(std::uint32_t slot, std::uint64_t value)
     {
-        HistogramShard &h = histogramCell(shard(), slot);
+        // The always-on path makes no call: a thread's first record
+        // and a slot its shard has not grown to yet take the slow path.
+        Shard *s = tlShard;
+        if (!s || slot >= s->histograms.size()) [[unlikely]] {
+            histogramRecordSlow(slot, value);
+            return;
+        }
+        record(*s->histograms[slot], value);
+    }
+
+    [[gnu::noinline]] void
+    histogramRecordSlow(std::uint32_t slot, std::uint64_t value)
+    {
+        record(histogramCell(shard(), slot), value);
+    }
+
+    static void
+    record(HistogramShard &h, std::uint64_t value)
+    {
         std::uint32_t bucket = histogramBucket(value);
         std::atomic<std::uint64_t> &cell = h.buckets[bucket];
         cell.store(cell.load(std::memory_order_relaxed) + 1,
@@ -171,7 +194,8 @@ class Registry
         for (auto &shard : shards_) {
             for (auto &cell : shard->counters)
                 cell.store(0, std::memory_order_relaxed);
-            for (HistogramShard &h : shard->histograms) {
+            for (auto &cell : shard->histograms) {
+                HistogramShard &h = *cell;
                 for (auto &bucket : h.buckets)
                     bucket.store(0, std::memory_order_relaxed);
                 h.count.store(0, std::memory_order_relaxed);
@@ -205,7 +229,7 @@ class Registry
     {
         if (slot >= shard.histograms.size())
             return growHistogramCells(shard, slot);
-        return shard.histograms[slot];
+        return *shard.histograms[slot];
     }
 
     static std::atomic<std::uint64_t> &growCounterCells(Shard &shard,
@@ -226,15 +250,21 @@ class Registry
     std::vector<std::unique_ptr<Shard>> shards_;
 };
 
+/** Out of line, so that registry() stays small enough to inline into
+ *  the record path. */
+[[gnu::noinline]] Registry *
+newRegistry()
+{
+    return new Registry;
+}
+
 Registry &
 registry()
 {
-    static Registry *instance = new Registry; // never destroyed:
+    static Registry *instance = newRegistry(); // never destroyed:
     // instrumentation sites may record during static teardown.
     return *instance;
 }
-
-thread_local Shard *tlShard = nullptr;
 
 Shard &
 Registry::shard()
@@ -263,8 +293,8 @@ Registry::growHistogramCells(Shard &shard, std::uint32_t slot)
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex_);
     while (shard.histograms.size() <= slot)
-        shard.histograms.emplace_back();
-    return shard.histograms[slot];
+        shard.histograms.push_back(std::make_unique<HistogramShard>());
+    return *shard.histograms[slot];
 }
 
 MetricsSnapshot
@@ -298,7 +328,7 @@ Registry::snapshot() const
             for (const auto &shard : shards_) {
                 if (def.slot >= shard->histograms.size())
                     continue;
-                const HistogramShard &h = shard->histograms[def.slot];
+                const HistogramShard &h = *shard->histograms[def.slot];
                 std::uint64_t count =
                     h.count.load(std::memory_order_relaxed);
                 if (count == 0)

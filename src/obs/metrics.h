@@ -55,7 +55,7 @@
  *
  *   MetricsSnapshot snap = obs::snapshotMetrics();
  *   obs::exportOpenMetrics(snap, out);     // Prometheus text page
- *   obs::metricsJson(snap);                // bench/report JSON block
+ *   obs::metricsJson(snap);                // bench sidecar JSON block
  *   obs::MetricsSnapshotWriter w(path, 5); // periodic page rewrites
  */
 
@@ -284,8 +284,8 @@ void exportOpenMetrics(const MetricsSnapshot &snapshot, std::ostream &out);
 /**
  * @p snapshot as a JSON object: {"counters":{name:value},
  * "gauges":{name:value}, "histograms":{name:{count,sum,min,max,
- * p50,p90,p95,p99}}} — the "metrics" block of bench sidecars and
- * CompileReports. Histograms with zero observations are omitted.
+ * p50,p90,p95,p99}}} — the "metrics" block of bench sidecars.
+ * Histograms with zero observations are omitted.
  */
 std::string metricsJson(const MetricsSnapshot &snapshot);
 

@@ -6,7 +6,7 @@ namespace isaria
 void *
 Arena::allocateSlow(std::size_t bytes, std::size_t align)
 {
-    // Walk forward through chunks retained by an earlier release();
+    // Walk forward through chunks retained by an earlier reset();
     // they are empty (used == 0) and may satisfy the request without
     // touching the heap.
     while (active_ + 1 < chunks_.size()) {
@@ -20,7 +20,7 @@ Arena::allocateSlow(std::size_t bytes, std::size_t align)
             return chunk.data.get() + at;
         }
         // Too small for this request; skip it (it stays empty and is
-        // revisited after the next release).
+        // revisited after the next reset).
     }
 
     // Fresh chunk: geometric growth from kMin to kMax, or a dedicated

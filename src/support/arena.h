@@ -3,29 +3,26 @@
 
 /**
  * @file
- * Bump-pointer arena with chunked growth, high-water marks, and a
- * non-owning vector built on top of it.
+ * Bump-pointer arena with chunked growth, and a non-owning vector
+ * built on top of it.
  *
  * The e-graph's saturation loop is allocation-bound: every e-node
  * spill buffer, hash-cons payload, and op-index append used to be an
  * individual `new`. The Arena replaces those with pointer bumps into
  * geometrically-growing chunks (4 KiB doubling to 1 MiB; oversize
- * requests get a dedicated chunk), which is both faster and — because
- * a Mark captures the exact allocation frontier — what makes
- * EGraph::snapshot()/restore() possible: releasing to a mark rewinds
- * every allocation made after it in O(chunks), retaining the chunks
- * for reuse.
+ * requests get a dedicated chunk). reset() rewinds every allocation
+ * in O(chunks), retaining the chunks for reuse (the extractor
+ * rewinds its index arena this way on every rebuild).
  *
  * Invariants:
- *  - Memory is never returned to the OS by release(); chunks are
+ *  - Memory is never returned to the OS by reset(); chunks are
  *    reused. Only the destructor (or the object being moved from)
  *    frees them.
- *  - Pointers handed out before a mark stay valid across
- *    release(mark); pointers handed out after it dangle.
+ *  - Every pointer handed out before reset() dangles after it.
  *  - allocations()/chunkAllocations() are monotonic (they survive
- *    release), so they can serve as before/after deltas when counting
+ *    reset), so they can serve as before/after deltas when counting
  *    allocator traffic; bytesAllocated() is the live frontier and
- *    rewinds with release.
+ *    rewinds with reset.
  */
 
 #include <cstddef>
@@ -47,14 +44,6 @@ class Arena
   public:
     static constexpr std::size_t kMinChunkBytes = 4 * 1024;
     static constexpr std::size_t kMaxChunkBytes = 1024 * 1024;
-
-    /** A high-water mark: the allocation frontier at one instant. */
-    struct Mark
-    {
-        std::size_t chunk = 0;
-        std::size_t used = 0;
-        std::uint64_t bytesAllocated = 0;
-    };
 
     Arena() = default;
     Arena(const Arena &) = delete;
@@ -97,43 +86,17 @@ class Arena
             allocate(count * sizeof(T), alignof(T)));
     }
 
-    /** The current allocation frontier. */
-    Mark
-    mark() const
-    {
-        Mark m;
-        m.chunk = active_;
-        m.used = chunks_.empty() ? 0 : chunks_[active_].used;
-        m.bytesAllocated = bytesAllocated_;
-        return m;
-    }
-
-    /**
-     * Rewinds the frontier to @p mark. Everything allocated after the
-     * mark is reclaimed (its chunks stay resident for reuse);
-     * everything allocated before it is untouched.
-     */
-    void
-    release(const Mark &m)
-    {
-        ISARIA_ASSERT(m.chunk <= active_,
-                      "arena mark is ahead of the frontier");
-        for (std::size_t i = m.chunk + 1; i < chunks_.size(); ++i)
-            chunks_[i].used = 0;
-        if (!chunks_.empty())
-            chunks_[m.chunk].used = m.used;
-        active_ = m.chunk;
-        bytesAllocated_ = m.bytesAllocated;
-    }
-
     /** Rewinds everything, retaining the chunks. */
     void
     reset()
     {
-        release(Mark{});
+        for (Chunk &chunk : chunks_)
+            chunk.used = 0;
+        active_ = 0;
+        bytesAllocated_ = 0;
     }
 
-    /** Live bytes inside chunks (rewinds with release). */
+    /** Live bytes inside chunks (rewinds with reset). */
     std::uint64_t bytesAllocated() const { return bytesAllocated_; }
 
     /** Total chunk capacity resident (never shrinks). */
@@ -148,31 +111,11 @@ class Arena
 
     std::size_t numChunks() const { return chunks_.size(); }
 
-    /** Monotonic count of allocate() calls (survives release). */
+    /** Monotonic count of allocate() calls (survives reset). */
     std::uint64_t allocations() const { return allocations_; }
 
     /** Monotonic count of chunks obtained from the heap. */
     std::uint64_t chunkAllocations() const { return chunkAllocations_; }
-
-    /**
-     * True if @p p points into a block handed out before @p m was
-     * taken (so it stays valid across release(m)). False for
-     * pointers past the mark or outside the arena entirely.
-     */
-    bool
-    allocatedBefore(const void *p, const Mark &m) const
-    {
-        for (std::size_t i = 0; i < chunks_.size(); ++i) {
-            const std::byte *base = chunks_[i].data.get();
-            if (p < base || p >= base + chunks_[i].capacity)
-                continue;
-            if (i != m.chunk)
-                return i < m.chunk;
-            return static_cast<std::size_t>(
-                       static_cast<const std::byte *>(p) - base) < m.used;
-        }
-        return false;
-    }
 
   private:
     struct Chunk
@@ -196,9 +139,9 @@ class Arena
  * A vector of trivially-copyable elements whose storage lives in an
  * Arena. It does not own its buffer: growth allocates a fresh arena
  * block and abandons the old one (bounded 2x churn), and destruction
- * frees nothing. After the owning arena is released past this
- * vector's buffer, call resetStorage() before reuse — the old pointer
- * would alias whatever the arena hands out next.
+ * frees nothing. After the owning arena is reset, call resetStorage()
+ * before reuse — the old pointer would alias whatever the arena hands
+ * out next.
  */
 template <typename T>
 class ArenaVector
@@ -240,7 +183,7 @@ class ArenaVector
         size_ = static_cast<std::uint32_t>(n);
     }
 
-    /** Forgets the buffer entirely (after the arena was released). */
+    /** Forgets the buffer entirely (after the arena was reset). */
     void
     resetStorage()
     {
@@ -305,24 +248,6 @@ struct ArenaPool
             return;
         }
         freeBySize[bytes].push_back(p);
-    }
-
-    /**
-     * Drops every free-list block allocated at or after @p m — called
-     * just before arena.release(m), which would leave such blocks
-     * dangling. Blocks that predate the mark stay recyclable.
-     */
-    void
-    dropFreeBlocksAtOrAfter(const Arena::Mark &m)
-    {
-        for (auto &[bytes, blocks] : freeBySize) {
-            std::size_t keep = 0;
-            for (void *p : blocks) {
-                if (arena.allocatedBefore(p, m))
-                    blocks[keep++] = p;
-            }
-            blocks.resize(keep);
-        }
     }
 };
 

@@ -68,7 +68,6 @@ faultSiteName(FaultSite site)
       case FaultSite::Rebuild: return "rebuild";
       case FaultSite::SynthVerify: return "synth-verify";
       case FaultSite::RuleParse: return "rule-parse";
-      case FaultSite::SnapshotRestore: return "egraph-snapshot-restore";
       case FaultSite::EGraphMetrics: return "egraph-metrics";
       case FaultSite::NumSites: break;
     }

@@ -27,8 +27,7 @@
  *          | site ':' N '/' D '@' SEED   // each arrival fails iff
  *                                        // hash(SEED^ordinal) % D < N
  *   site  := egraph-alloc | shard-search | rebuild
- *          | synth-verify | rule-parse | egraph-snapshot-restore
- *          | egraph-metrics
+ *          | synth-verify | rule-parse | egraph-metrics
  *
  * The disabled path costs one relaxed atomic load per site check.
  */
@@ -57,8 +56,6 @@ enum class FaultSite
     SynthVerify,
     /** Rules-file loading. */
     RuleParse,
-    /** EGraph::restore — a speculative-phase rollback failing. */
-    SnapshotRestore,
     /** The saturation loop's per-iteration metrics sampling point —
      *  proves a telemetry failure degrades like any other
      *  mid-iteration fault instead of aborting the compile. */

@@ -62,14 +62,15 @@ struct SynthConfig
     bool keepShortcutCandidates = true;
     /** Budgets for each derivability-check saturation. The iteration,
      *  node and match limits decide the outcome; timeoutSeconds is a
-     *  safety net, and a check stopped by it marks the run
-     *  hitDeadline. Includes EqSatLimits::numThreads: the shrinking
-     *  loop's e-matching runs on the parallel search engine, and
-     *  because matches are thread-count independent, the synthesized
-     *  ruleset is too. */
+     *  safety net far above the work (single checks take up to about
+     *  0.5 s on rvv-w8+mulsub at one thread), and a check stopped by
+     *  it marks the run hitDeadline. Includes EqSatLimits::numThreads:
+     *  the shrinking loop's e-matching runs on the parallel search
+     *  engine, and because matches are thread-count independent, the
+     *  synthesized ruleset is too. */
     EqSatLimits derivLimits = {.maxNodes = 30'000,
                                .maxIters = 2,
-                               .timeoutSeconds = 1.0,
+                               .timeoutSeconds = 10,
                                .maxMatchesPerRule = 2'000};
     /**
      * Worker threads for candidate verification and cvec

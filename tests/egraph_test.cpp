@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "egraph/ematch.h"
 #include "egraph/extract.h"
@@ -494,22 +499,199 @@ TEST(EGraph, BytesUsedExactAfterDedup)
 
 TEST(EGraph, BytesUsedExactThroughSaturation)
 {
+    // The accounting holds at any eqsat thread count and with the
+    // arena switched off (ISARIA_EGRAPH_ARENA=0 routes node storage to
+    // the global allocator).
+    struct Input
+    {
+        int threads;
+        bool arena;
+    };
+    for (Input in : {Input{1, true}, Input{4, true}, Input{1, false}}) {
+        SCOPED_TRACE("threads " + std::to_string(in.threads) +
+                     (in.arena ? ", arena on" : ", arena off"));
+        if (!in.arena)
+            setenv("ISARIA_EGRAPH_ARENA", "0", 1);
+        EGraph eg;
+        unsetenv("ISARIA_EGRAPH_ARENA");
+        ASSERT_EQ(eg.arenaStats().arenaEnabled, in.arena);
+
+        eg.addExpr(parseSexpr("(+ (+ ba bb) (* bc (+ bd be)))"));
+        eg.rebuild();
+        EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
+        std::size_t seeded = eg.numNodes();
+        auto rules = compileRules({
+            parseRule("(+ ?a ?b) ~> (+ ?b ?a)"),
+            parseRule("(+ (+ ?a ?b) ?c) ~> (+ ?a (+ ?b ?c))"),
+            parseRule("(* ?a (+ ?b ?c)) ~> (+ (* ?a ?b) (* ?a ?c))"),
+        });
+        EqSatLimits limits;
+        limits.maxIters = 4;
+        limits.maxNodes = 20'000;
+        limits.numThreads = in.threads;
+        runEqSat(eg, rules, limits);
+        EXPECT_GT(eg.numNodes(), seeded); // the rules really fired
+        EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
+        EXPECT_EQ(eg.numNodes(), eg.numNodesSlow());
+        EXPECT_EQ(eg.numClasses(), eg.numClassesSlow());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Copies. A copy made with the EGraph copy constructor is the
+// e-graph's snapshot: mutating or saturating the source — at 1 and 4
+// eqsat threads, with the arena on and off — must leave the copy the
+// exact graph it was copied from, and the copy, saturated the same
+// way, must land on the source's graph.
+
+/**
+ * A canonical, order-independent structural fingerprint: every
+ * canonical class with its node multiset, children resolved to
+ * canonical ids. Two graphs with equal fingerprints are structurally
+ * identical (same classes, same membership).
+ */
+std::string
+graphFingerprint(const EGraph &eg)
+{
+    std::vector<EClassId> roots = eg.canonicalClasses();
+    std::sort(roots.begin(), roots.end());
+    std::ostringstream out;
+    for (EClassId root : roots) {
+        std::vector<std::string> nodes;
+        for (const ENode &node : eg.eclass(root).nodes) {
+            std::ostringstream n;
+            n << static_cast<int>(node.op) << ':' << node.payload << '(';
+            for (EClassId child : node.children)
+                n << eg.find(child) << ',';
+            n << ')';
+            nodes.push_back(n.str());
+        }
+        std::sort(nodes.begin(), nodes.end());
+        out << root << '{';
+        for (const std::string &n : nodes)
+            out << n << ' ';
+        out << "}\n";
+    }
+    return out.str();
+}
+
+struct GraphState
+{
+    std::size_t numNodes, numClasses, numIds, bytesUsed;
+    std::string fingerprint;
+    std::string bestExpr;
+    std::uint64_t bestCost;
+};
+
+GraphState
+captureState(const EGraph &eg, EClassId root)
+{
+    UnitCost cost;
+    auto best = extractBest(eg, eg.find(root), cost);
+    EXPECT_TRUE(best.has_value());
+    return GraphState{eg.numNodes(),  eg.numClasses(),
+                      eg.numIds(),    eg.bytesUsed(),
+                      graphFingerprint(eg),
+                      best ? printSexpr(best->expr) : "",
+                      best ? best->cost : 0};
+}
+
+void
+expectStateEqual(const GraphState &a, const GraphState &b)
+{
+    EXPECT_EQ(a.numNodes, b.numNodes);
+    EXPECT_EQ(a.numClasses, b.numClasses);
+    EXPECT_EQ(a.numIds, b.numIds);
+    EXPECT_EQ(a.bytesUsed, b.bytesUsed);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    EXPECT_EQ(a.bestExpr, b.bestExpr);
+    EXPECT_EQ(a.bestCost, b.bestCost);
+}
+
+TEST(EGraph, CopyIsIndependent)
+{
     EGraph eg;
-    eg.addExpr(parseSexpr("(+ (+ ba bb) (* bc (+ bd be)))"));
+    EClassId root = eg.addExpr(parseSexpr("(+ (neg k) k)"));
+    // Wider than ChildArray's inline capacity: the copy must give the
+    // spilled children storage of its own.
+    EClassId wide = eg.addExpr(parseSexpr("(Vec k k k k k (neg k) k k)"));
+    eg.rebuild();
+
+    EGraph copy = eg;
+    EXPECT_NE(copy.graphId(), eg.graphId());
+    GraphState rootState = captureState(eg, root);
+    GraphState wideState = captureState(eg, wide);
+    expectStateEqual(captureState(copy, root), rootState);
+    expectStateEqual(captureState(copy, wide), wideState);
+
+    // Mutating the source never touches the copy.
+    eg.merge(eg.addExpr(parseSexpr("(* k k)")), root);
+    // (neg k) = k rewrites a spilled child of the wide Vec.
+    eg.merge(eg.addExpr(parseSexpr("(neg k)")), eg.addExpr(parseSexpr("k")));
     eg.rebuild();
     EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
+    expectStateEqual(captureState(copy, root), rootState);
+    expectStateEqual(captureState(copy, wide), wideState);
+    EXPECT_EQ(copy.bytesUsed(), copy.bytesUsedSlow());
+    EXPECT_EQ(copy.classesWithOp(Op::Mul).size(), 0u);
+}
+
+/** copy -> saturate the source: the copy is unchanged, and replays. */
+void
+runSaturationDifferential(int numThreads, bool arena)
+{
+    if (!arena)
+        setenv("ISARIA_EGRAPH_ARENA", "0", 1);
+    EGraph eg;
+    unsetenv("ISARIA_EGRAPH_ARENA");
+    ASSERT_EQ(eg.arenaStats().arenaEnabled, arena);
+    EClassId root =
+        eg.addExpr(parseSexpr("(* (+ a (+ b (+ c d))) (+ e f))"));
+    eg.rebuild();
+    GraphState before = captureState(eg, root);
+    ASSERT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
+
+    EGraph snapshot = eg;
+    EXPECT_EQ(snapshot.arenaStats().arenaEnabled, arena);
+
+    // The explosive AC rule set (the Section 2.2 blowup).
     auto rules = compileRules({
         parseRule("(+ ?a ?b) ~> (+ ?b ?a)"),
         parseRule("(+ (+ ?a ?b) ?c) ~> (+ ?a (+ ?b ?c))"),
-        parseRule("(* ?a (+ ?b ?c)) ~> (+ (* ?a ?b) (* ?a ?c))"),
+        parseRule("(* ?a ?b) ~> (* ?b ?a)"),
     });
     EqSatLimits limits;
     limits.maxIters = 4;
     limits.maxNodes = 20'000;
+    limits.numThreads = numThreads;
     runEqSat(eg, rules, limits);
-    EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
-    EXPECT_EQ(eg.numNodes(), eg.numNodesSlow());
-    EXPECT_EQ(eg.numClasses(), eg.numClassesSlow());
+    EXPECT_GT(eg.numNodes(), before.numNodes); // the rules really fired
+
+    expectStateEqual(captureState(snapshot, root), before);
+    EXPECT_EQ(snapshot.bytesUsed(), snapshot.bytesUsedSlow());
+    EXPECT_EQ(snapshot.numNodes(), snapshot.numNodesSlow());
+    EXPECT_EQ(snapshot.numClasses(), snapshot.numClassesSlow());
+
+    runEqSat(snapshot, rules, limits);
+    expectStateEqual(captureState(snapshot, root), captureState(eg, root));
+    EXPECT_EQ(snapshot.bytesUsed(), snapshot.bytesUsedSlow());
+}
+
+TEST(Snapshot, SaturationDifferentialSingleThread)
+{
+    runSaturationDifferential(1, true);
+}
+
+TEST(Snapshot, SaturationDifferentialFourThreads)
+{
+    runSaturationDifferential(4, true);
+}
+
+TEST(Snapshot, SaturationDifferentialArenaDisabled)
+{
+    // ISARIA_EGRAPH_ARENA=0 routes node storage to the global
+    // allocator; the copy must keep that mode and stay exact in it.
+    runSaturationDifferential(1, false);
 }
 
 TEST(Extract, EmptyClassImpossible)

@@ -498,54 +498,6 @@ TEST(Degradation, ArmedFaultPlanKeepsBackoffSchedulerDeterministic)
     EXPECT_EQ(sequential, parallel);
 }
 
-TEST(Fault, SnapshotRestoreFaultLeavesGraphIntact)
-{
-    // The egraph-snapshot-restore site fires before restore() mutates
-    // anything, so a failed rollback leaves the mutated graph — and
-    // the outstanding snapshot — exactly as they were; the retry then
-    // completes the rollback.
-    FaultGuard guard("egraph-snapshot-restore:1");
-    EGraph eg;
-    eg.addExpr(parseSexpr("(+ fa fb)"));
-    eg.rebuild();
-    std::size_t snapNodes = eg.numNodes();
-    eg.snapshot();
-    eg.addExpr(parseSexpr("(* fa fb)"));
-    eg.rebuild();
-    std::size_t mutatedNodes = eg.numNodes();
-
-    EXPECT_THROW(eg.restore(), FaultInjected);
-    EXPECT_TRUE(eg.snapshotActive());
-    EXPECT_EQ(eg.numNodes(), mutatedNodes);
-    EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
-
-    eg.restore(); // the ordinal was one-shot
-    EXPECT_FALSE(eg.snapshotActive());
-    EXPECT_EQ(eg.numNodes(), snapNodes);
-    EXPECT_EQ(eg.bytesUsed(), eg.bytesUsedSlow());
-}
-
-TEST(Degradation, SpeculativeCompileAbsorbsRestoreFault)
-{
-    // With speculation on, the terminating (non-improving) round is
-    // rolled back via restore(); an injected restore fault must be
-    // absorbed as a degradation — keeping best-so-far — not abort.
-    FaultGuard guard("egraph-snapshot-restore:1");
-    CompilerConfig config;
-    config.speculation = true;
-    IsariaCompiler compiler = miniCompiler(config);
-    CompileStats stats;
-    RecExpr out = compiler.compile(paperExample(), &stats);
-
-    EXPECT_EQ(stats.faultsInjected, 1);
-    EXPECT_NE(stats.degradation, DegradeLevel::None);
-    EXPECT_TRUE(out.containsVectorOp());
-    LowerOptions options;
-    options.width = 4;
-    options.scalarizeRawChunks = true;
-    EXPECT_TRUE(tryLowerProgram(out, options).ok());
-}
-
 // ---------------------------------------------------------------------
 // Boundaries outside the compiler.
 

@@ -1,12 +1,15 @@
 // Unit tests for the support module: rationals, rng, interner,
-// thread pool.
+// thread pool, arena.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "egraph/enode.h"
+#include "support/arena.h"
 #include "support/interner.h"
 #include "support/rational.h"
 #include "support/rng.h"
@@ -233,6 +236,140 @@ TEST(ThreadPool, StealsUnevenWork)
 TEST(ThreadPool, DefaultThreadsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Arena: bump allocation, reset, pools, arena-backed containers. Also
+// an ASan target (build with ISARIA_SANITIZE=address).
+
+TEST(Arena, BumpAllocationAndChunkGrowth)
+{
+    Arena arena;
+    EXPECT_EQ(arena.bytesAllocated(), 0u);
+    EXPECT_EQ(arena.numChunks(), 0u);
+
+    // Fill well past the first 4KiB chunk.
+    for (int i = 0; i < 1000; ++i) {
+        auto *p = arena.allocateArray<std::uint64_t>(8);
+        p[0] = static_cast<std::uint64_t>(i); // must be writable
+        EXPECT_EQ(p[0], static_cast<std::uint64_t>(i));
+    }
+    EXPECT_GE(arena.bytesAllocated(), 1000u * 8 * sizeof(std::uint64_t));
+    EXPECT_GT(arena.numChunks(), 1u);
+    EXPECT_EQ(arena.allocations(), 1000u);
+    EXPECT_GE(arena.bytesReserved(), arena.bytesAllocated());
+}
+
+TEST(Arena, OversizeAllocationGetsDedicatedChunk)
+{
+    Arena arena;
+    const std::size_t big = 4u << 20; // 4 MiB > kMaxChunkBytes
+    auto *p = static_cast<std::byte *>(arena.allocate(big, 16));
+    ASSERT_NE(p, nullptr);
+    p[0] = std::byte{1};
+    p[big - 1] = std::byte{2}; // whole span must be addressable
+    EXPECT_GE(arena.bytesReserved(), big);
+}
+
+TEST(Arena, ResetRewindsAndRetainsChunks)
+{
+    Arena arena;
+    auto fill = [&] {
+        for (int i = 0; i < 500; ++i)
+            std::memset(arena.allocate(256, 8), 0xA5, 256);
+    };
+    fill();
+    std::size_t chunksGrown = arena.numChunks();
+    std::uint64_t chunkAllocs = arena.chunkAllocations();
+    EXPECT_GT(chunksGrown, 1u);
+
+    arena.reset();
+    EXPECT_EQ(arena.bytesAllocated(), 0u);
+    // Chunks are retained for reuse, not freed.
+    EXPECT_EQ(arena.numChunks(), chunksGrown);
+
+    // Refilling the same volume reuses the retained chunks: no new
+    // chunk allocations (this is the reuse loop ASan must bless).
+    fill();
+    EXPECT_EQ(arena.chunkAllocations(), chunkAllocs);
+}
+
+TEST(Arena, ArenaVectorGrowTruncateReset)
+{
+    Arena arena;
+    ArenaVector<std::uint32_t> v;
+    EXPECT_TRUE(v.empty());
+    for (std::uint32_t i = 0; i < 1000; ++i)
+        v.push_back(arena, i);
+    ASSERT_EQ(v.size(), 1000u);
+    for (std::uint32_t i = 0; i < 1000; ++i)
+        EXPECT_EQ(v[i], i);
+
+    v.truncate(10);
+    EXPECT_EQ(v.size(), 10u);
+    EXPECT_EQ(v[9], 9u);
+
+    // Growth abandons old blocks inside the arena; after a wholesale
+    // reset the vector must forget its (now dangling) buffer.
+    arena.reset();
+    v.resetStorage();
+    EXPECT_TRUE(v.empty());
+    v.push_back(arena, 7u);
+    EXPECT_EQ(v[0], 7u);
+}
+
+TEST(Arena, PoolRecyclesExactSizeBlocks)
+{
+    ArenaPool pool;
+    void *a = pool.allocate(48);
+    pool.deallocate(a, 48);
+    // Same-size request must come from the free list, not the bump
+    // frontier.
+    EXPECT_EQ(pool.allocate(48), a);
+    // Different size misses the bucket.
+    EXPECT_NE(pool.allocate(64), a);
+}
+
+TEST(Arena, PoolDisabledRoutesToHeap)
+{
+    ArenaPool pool;
+    pool.enabled = false;
+    void *p = pool.allocate(32);
+    ASSERT_NE(p, nullptr);
+    pool.deallocate(p, 32);
+    EXPECT_EQ(pool.arena.bytesAllocated(), 0u);
+    EXPECT_TRUE(pool.freeBySize.empty());
+}
+
+TEST(Arena, ChildArraySpillOwnership)
+{
+    Arena arena;
+    std::vector<EClassId> ids = {1, 2, 3, 4, 5, 6, 7};
+    ChildArray wide;
+    wide.assignArena(arena, ids.data(), ids.size());
+    EXPECT_TRUE(wide.spilled());
+    EXPECT_TRUE(wide.arenaOwned());
+    ASSERT_EQ(wide.size(), 7u);
+    EXPECT_EQ(wide[6], 7u);
+
+    // Copies always own their storage (plain heap spill).
+    ChildArray copy = wide;
+    EXPECT_TRUE(copy.spilled());
+    EXPECT_FALSE(copy.arenaOwned());
+    EXPECT_TRUE(copy == wide);
+
+    // Growth from an arena-owned buffer lands on the heap and leaves
+    // the arena block behind — no delete of arena memory.
+    wide.push_back(8);
+    EXPECT_FALSE(wide.arenaOwned());
+    EXPECT_EQ(wide.size(), 8u);
+    EXPECT_EQ(wide[7], 8u);
+
+    // Inline-sized assignArena stays inline (no spill at all).
+    ChildArray small;
+    small.assignArena(arena, ids.data(), 3);
+    EXPECT_FALSE(small.spilled());
+    EXPECT_FALSE(small.arenaOwned());
 }
 
 /** Property sweep: field axioms on a grid of small rationals. */

@@ -107,47 +107,6 @@ metricsFaultCounted()
     return true;
 }
 
-/** The egraph-snapshot-restore site only arrives under speculative
- *  compilation: the terminating round's rollback restore() fails, and
- *  the compiler must keep best-so-far — still numerically correct. */
-bool
-snapshotRestoreSurvives()
-{
-    auto plan = FaultPlan::parse("egraph-snapshot-restore:1");
-    setFaultPlan(plan.value());
-
-    CompilerConfig config;
-    config.maxLoopIterations = 3;
-    config.speculation = true;
-    IsariaCompiler compiler(
-        assignPhases(diospyrosHandRules(), config.costModel), config);
-    KernelHarness harness(KernelSpec::conv2d(3, 3, 2, 2));
-    RunOutcome outcome = harness.runCompiler(compiler);
-    clearFaultPlan();
-
-    const CompileStats &st = outcome.compileStats;
-    if (!outcome.supported || !outcome.correct) {
-        std::fprintf(stderr, "chaos_smoke: egraph-snapshot-restore "
-                             "produced a wrong program\n");
-        return false;
-    }
-    if (st.faultsInjected == 0 || st.degradation == DegradeLevel::None) {
-        std::fprintf(stderr, "chaos_smoke: egraph-snapshot-restore "
-                             "fired but was not recorded\n");
-        return false;
-    }
-    std::printf("  %-16s ok: %s, %llu cycles, cost %llu -> %llu, "
-                "%d rollback%s\n",
-                faultSiteName(FaultSite::SnapshotRestore),
-                degradeLevelName(st.degradation),
-                static_cast<unsigned long long>(outcome.cycles),
-                static_cast<unsigned long long>(st.initialCost),
-                static_cast<unsigned long long>(st.finalCost),
-                st.speculativeRollbacks,
-                st.speculativeRollbacks == 1 ? "" : "s");
-    return true;
-}
-
 bool
 ruleParseSurvives()
 {
@@ -211,7 +170,6 @@ main()
         ok &= compileSurvives(FaultSite::ShardSearch);
         ok &= compileSurvives(FaultSite::Rebuild);
         ok &= metricsFaultCounted();
-        ok &= snapshotRestoreSurvives();
         ok &= ruleParseSurvives();
         ok &= synthVerifySurvives();
         if (!ok)

@@ -16,12 +16,16 @@
 //   curl --unix-socket /tmp/isaria.sock http://localhost/metrics
 //
 // By default the rule system is the hand-written Diospyros set
-// (instant startup, deterministic); --synth runs the full offline
-// synthesis pipeline against the persistent rule cache first.
+// (instant startup, deterministic), whose width-4 patterns serve only
+// the 4-lane machine descriptions; --synth runs the full offline
+// synthesis pipeline against the persistent rule cache first and
+// serves every known machine description.
 //
-// The daemon serves every known machine description: a request may
-// pick one with {"target": "rvv8"}; absent, the session default
-// (ISARIA_TARGET env, else fusion-g3-w4) handles it.
+// A request picks a served machine with its "target" key (e.g.
+// {"target": "rvv8"} on a --synth daemon); any other known target gets
+// a typed error, and a request without one goes to the session default
+// (ISARIA_TARGET env, else fusion-g3-w4), which must be served: without
+// --synth it must be a 4-lane machine.
 //
 // Shutdown: SIGTERM/SIGINT trip the process shutdown token
 // (installed by guardedMain), the daemon drains — new requests get
@@ -98,15 +102,26 @@ main(int argc, char **argv)
             }
         }
 
-        // One compiler per known machine description, each with that
-        // machine's cost model; the daemon serves them all and routes
-        // by the request's "target" key. std::deque keeps the
-        // references handed to the server stable as we append.
-        RuleCache cache = RuleCache::fromEnv();
-        std::deque<IsariaCompiler> compilers;
-        const IsariaCompiler *defaultCompiler = nullptr;
+        // One compiler per served machine description, each with that
+        // machine's cost model and registered under that machine's
+        // name; the daemon routes by the request's "target" key and
+        // answers any other target with a typed error. The hand-written
+        // rules only match 4-lane Vecs, so without --synth the daemon
+        // serves only 4-lane machines. std::deque keeps the references
+        // handed to the server stable as we append.
+        constexpr int kHandRuleLanes = 4;
         const std::string defaultName = MachineDesc::fromEnv().name();
+        struct Served
+        {
+            std::string machine;
+            IsariaCompiler compiler;
+        };
+        RuleCache cache = RuleCache::fromEnv();
+        std::deque<Served> served;
+        const IsariaCompiler *defaultCompiler = nullptr;
         for (const MachineDesc &machine : knownMachines()) {
+            if (!synthesize && machine.vectorWidth != kHandRuleLanes)
+                continue;
             CompilerConfig cc = compilerConfigFor(machine);
             cc.memoEntries = memoEntries;
             if (synthesize) {
@@ -116,24 +131,34 @@ main(int argc, char **argv)
                              "isaria_serve: generating rules for %s "
                              "(budget %.0fs)...\n",
                              machine.name().c_str(), synthBudget);
-                compilers.push_back(
-                    generateCompiler(IsaSpec(machine), cache, synth, cc)
-                        .compiler);
+                served.push_back(
+                    {machine.name(),
+                     generateCompiler(IsaSpec(machine), cache, synth, cc)
+                         .compiler});
             } else {
-                compilers.emplace_back(
-                    assignPhases(diospyrosHandRules(), cc.costModel),
-                    cc);
+                served.push_back(
+                    {machine.name(),
+                     IsariaCompiler(
+                         assignPhases(diospyrosHandRules(), cc.costModel),
+                         cc)});
             }
             if (machine.name() == defaultName)
-                defaultCompiler = &compilers.back();
+                defaultCompiler = &served.back().compiler;
         }
-        ISARIA_ASSERT(defaultCompiler != nullptr,
-                      "session default target missing from the "
-                      "machine registry");
+        if (!defaultCompiler) {
+            // The session default comes from the same registry, so
+            // only a hand-rule daemon can leave it unserved.
+            std::fprintf(stderr,
+                         "isaria_serve: the hand-written rules serve "
+                         "only %d-lane targets; run with --synth to "
+                         "serve %s\n",
+                         kHandRuleLanes, defaultName.c_str());
+            return 2;
+        }
 
         serve::ServeServer server(*defaultCompiler, sc);
-        for (std::size_t i = 0; i < compilers.size(); ++i)
-            server.addTarget(knownMachines()[i].name(), compilers[i]);
+        for (const Served &entry : served)
+            server.addTarget(entry.machine, entry.compiler);
         std::string error;
         if (!server.start(&error)) {
             std::fprintf(stderr, "isaria_serve: %s\n", error.c_str());

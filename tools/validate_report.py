@@ -4,9 +4,8 @@
 Standard library only (CI images carry no jsonschema). Checks: the
 file is a single JSON object; schema_version matches; every required
 top-level field is present with the right type; degradation is one of
-the known ladder levels; each round carries well-formed EqSat
-sub-reports; and the embedded metrics block's histogram quantiles are
-monotone (p50 <= p90 <= p95 <= p99 within [min, max]).
+the known ladder levels; and each round carries well-formed EqSat
+sub-reports.
 
 Usage: validate_report.py REPORT.json [REPORT.json ...]
 Exits 0 when all reports are valid, 1 with a diagnostic otherwise.
@@ -15,7 +14,7 @@ Exits 0 when all reports are valid, 1 with a diagnostic otherwise.
 import json
 import sys
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DEGRADE_LEVELS = {"none", "best-so-far", "round-fallback",
                   "scalar-fallback"}
@@ -34,13 +33,11 @@ TOP_REQUIRED = {
     "peak_nodes": int,
     "ran_out_of_memory": bool,
     "memo_hit": bool,
-    "speculative_rollbacks": int,
     "degradation": str,
     "faults_injected": int,
     "degrade_events": list,
     "rounds": list,
     "ran_optimization": bool,
-    "metrics": dict,
 }
 
 EQSAT_REQUIRED = {
@@ -92,39 +89,6 @@ def check_eqsat(obj, where):
     check_fields(obj, EQSAT_REQUIRED, where)
 
 
-def check_metrics(metrics, where):
-    for section in ("counters", "gauges", "histograms"):
-        if section not in metrics or not isinstance(
-            metrics[section], dict
-        ):
-            fail(f"{where}: metrics missing object '{section}'")
-    for name, hist in metrics["histograms"].items():
-        hwhere = f"{where}: histogram '{name}'"
-        check_fields(
-            hist,
-            {
-                "count": int,
-                "sum": int,
-                "min": int,
-                "max": int,
-                "p50": int,
-                "p90": int,
-                "p95": int,
-                "p99": int,
-            },
-            hwhere,
-        )
-        if hist["count"] <= 0:
-            fail(f"{hwhere}: count <= 0")
-        quantiles = [hist["p50"], hist["p90"], hist["p95"], hist["p99"]]
-        if any(b < a for a, b in zip(quantiles, quantiles[1:])):
-            fail(f"{hwhere}: quantiles not monotone: {quantiles}")
-        if not hist["min"] <= hist["p50"] or not (
-            hist["p99"] <= hist["max"]
-        ):
-            fail(f"{hwhere}: quantiles outside [min, max]")
-
-
 def check_report(path):
     with open(path, encoding="utf-8") as handle:
         try:
@@ -174,7 +138,6 @@ def check_report(path):
             fail(f"{path}: ran_optimization without 'optimization'")
         check_eqsat(report["optimization"], f"{path}: optimization")
 
-    check_metrics(report["metrics"], path)
     print(
         f"validate_report: ok ({path}: kernel "
         f"{report['kernel']!r}, target {report['target']!r}, "
