@@ -572,17 +572,19 @@ BM_ObsSpanEnabled(benchmark::State &state)
 }
 BENCHMARK(BM_ObsSpanEnabled);
 
-/** Counter emission with a live session (pre-interned name id). */
+/** A registry counter add with a live session: the registry bump plus
+ *  the derived trace counter event. */
 void
 BM_ObsCounterEnabled(benchmark::State &state)
 {
     obs::TraceSession *outer = obs::TraceSession::active();
     obs::TraceSession session;
     session.activate();
-    std::uint32_t name = obs::internName("bench/counter");
-    std::int64_t i = 0;
+    static const obs::CounterHandle c =
+        obs::metricCounter("bench/counter");
+    std::uint64_t i = 0;
     for (auto _ : state)
-        obs::counterId(name, ++i);
+        obs::metricAdd(c, ++i);
     session.deactivate();
     if (outer)
         outer->activate();

@@ -28,20 +28,17 @@ qrCycles(const IsaSpec &isa, const KernelHarness &h)
 int
 main()
 {
-    // The four compilers below are all Fusion-family IsaConfig
-    // variants, so the harness is pinned to the Fusion machine — an
-    // env-selected wider target would lift the kernel at a width the
-    // IsaConfig specs don't compile for.
+    // The four compilers below are all Fusion-family machines, so the
+    // harness is pinned to the Fusion machine — an env-selected wider
+    // target would lift the kernel at a width these specs don't
+    // compile for.
     KernelHarness h(KernelSpec::qrd(4), MachineDesc::fusionG3());
 
-    IsaConfig base;
-    IsaConfig onlyMulSub;
-    onlyMulSub.enableMulSub = true;
-    IsaConfig onlySqrtSgn;
-    onlySqrtSgn.enableSqrtSgn = true;
-    IsaConfig both;
-    both.enableMulSub = true;
-    both.enableSqrtSgn = true;
+    MachineDesc base = MachineDesc::fusionG3();
+    MachineDesc onlyMulSub = MachineDesc::fusionG3(/*mulSub=*/true);
+    MachineDesc onlySqrtSgn =
+        MachineDesc::fusionG3(/*mulSub=*/false, /*sqrtSgn=*/true);
+    MachineDesc both = MachineDesc::fusionG3(true, true);
 
     std::printf("Table 2: QR decomposition speedup from custom "
                 "instructions\n(each cell is a freshly generated "

@@ -19,7 +19,7 @@ namespace
 struct Variant
 {
     const char *label;
-    IsaConfig config;
+    MachineDesc machine;
 };
 
 } // namespace
@@ -34,21 +34,18 @@ main()
                 "cycles\n\n",
                 static_cast<unsigned long long>(scalar.cycles));
 
-    Variant variants[4] = {{"base ISA", {}},
-                           {"+ VecMulSub", {}},
-                           {"+ VecSqrtSgn", {}},
-                           {"+ both", {}}};
-    variants[1].config.enableMulSub = true;
-    variants[2].config.enableSqrtSgn = true;
-    variants[3].config.enableMulSub = true;
-    variants[3].config.enableSqrtSgn = true;
+    Variant variants[4] = {
+        {"base ISA", MachineDesc::fusionG3()},
+        {"+ VecMulSub", MachineDesc::fusionG3(/*mulSub=*/true)},
+        {"+ VecSqrtSgn", MachineDesc::fusionG3(false, /*sqrtSgn=*/true)},
+        {"+ both", MachineDesc::fusionG3(true, true)}};
 
     SynthConfig synth;
     synth.timeoutSeconds = 20;
 
     std::uint64_t baseCycles = 0;
     for (const Variant &variant : variants) {
-        IsaSpec isa(variant.config);
+        IsaSpec isa(variant.machine);
         std::printf("[%s] regenerating the compiler...\n",
                     isa.name().c_str());
         GeneratedCompiler gen = generateCompiler(isa, synth);

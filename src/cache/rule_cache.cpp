@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "support/hash.h"
 
 namespace isaria
@@ -338,7 +337,6 @@ RuleCache::load(const IsaSpec &isa, std::uint64_t fingerprint) const
     if (!decoded) {
         // Corrupt or stale: a miss with a diagnostic, never an abort.
         probe.diagnostic = path + ": " + decoded.error().toString();
-        obs::counter("synth/cache/corrupt", 1);
         static const obs::CounterHandle corruptMetric =
             obs::metricCounter("synth/cache/corrupt");
         obs::metricAdd(corruptMetric);
@@ -379,7 +377,6 @@ RuleCache::store(const IsaSpec &isa, std::uint64_t fingerprint,
         std::remove(tmp.c_str());
         return Error{"cannot publish cache entry " + path};
     }
-    obs::counter("synth/cache/store", 1);
     static const obs::CounterHandle storeMetric =
         obs::metricCounter("synth/cache/store");
     obs::metricAdd(storeMetric);
@@ -396,7 +393,6 @@ synthesizeRulesCached(const IsaSpec &isa, const SynthConfig &config,
     std::uint64_t fp = synthFingerprint(isa, config);
     CacheProbe probe = cache.load(isa, fp);
     if (probe.hit()) {
-        obs::counter("synth/cache/hit", 1);
         static const obs::CounterHandle hitMetric =
             obs::metricCounter("synth/cache/hit");
         obs::metricAdd(hitMetric);
@@ -406,7 +402,6 @@ synthesizeRulesCached(const IsaSpec &isa, const SynthConfig &config,
         report.rules = std::move(probe.entry->rules);
         return report;
     }
-    obs::counter("synth/cache/miss", 1);
     static const obs::CounterHandle missMetric =
         obs::metricCounter("synth/cache/miss");
     obs::metricAdd(missMetric);

@@ -65,32 +65,12 @@ compileMetrics()
     return metrics;
 }
 
-/** Seconds elapsed on @p watch as integral nanoseconds. */
-std::uint64_t
-elapsedNs(const Stopwatch &watch)
-{
-    double seconds = watch.elapsedSeconds();
-    return seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
-}
-
-/** RAII latency-histogram sample: records the scope's wall time. */
-struct ScopedLatency
-{
-    explicit ScopedLatency(obs::HistogramHandle handle) : handle(handle)
-    {}
-    ~ScopedLatency() { obs::metricRecord(handle, elapsedNs(watch)); }
-
-    obs::HistogramHandle handle;
-    Stopwatch watch;
-};
-
 /** Records one rung of the degradation ladder in stats and obs. */
 void
 noteDegrade(CompileStats &st, DegradeLevel level, std::string what)
 {
     st.degradation = std::max(st.degradation, level);
     st.degradeEvents.push_back(std::move(what));
-    obs::counter("compile/degraded", static_cast<std::int64_t>(level));
     obs::metricAdd(compileMetrics().degraded);
 }
 
@@ -153,20 +133,20 @@ IsariaCompiler::compile(const RecExpr &program,
                         const CompilerConfig &config, CompileStats *stats,
                         bool memoWrite) const
 {
-    Stopwatch watch;
-    obs::Span compileSpan("compile");
+    const CompileMetrics &cm = compileMetrics();
+    // The compile's one clock: st.seconds and compile/wall_ns.
+    obs::Span compileSpan("compile", cm.wallNs);
     CompileStats local;
     CompileStats &st = stats ? *stats : local;
     st = CompileStats{};
 
-    const CompileMetrics &cm = compileMetrics();
     auto finishMetrics = [&] {
         obs::metricAdd(cm.compiles);
-        obs::metricRecord(cm.wallNs, elapsedNs(watch));
         obs::metricSet(cm.finalCost,
                        static_cast<std::int64_t>(st.finalCost));
-        obs::metricAdd(cm.faults,
-                       static_cast<std::uint64_t>(st.faultsInjected));
+        if (st.faultsInjected)
+            obs::metricAdd(cm.faults, static_cast<std::uint64_t>(
+                                          st.faultsInjected));
     };
 
     const DspCostModel &cost = config.costModel;
@@ -177,23 +157,20 @@ IsariaCompiler::compile(const RecExpr &program,
     if (auto hit = memo_.lookup(program)) {
         st.memoHit = true;
         st.finalCost = hit->cost;
-        st.seconds = watch.elapsedSeconds();
-        obs::counter("compile/memo/hit", 1);
+        st.seconds = compileSpan.close();
         obs::metricAdd(cm.memoHits);
         finishMetrics();
         return std::move(hit->compiled);
     }
-    if (memo_.enabled()) {
-        obs::counter("compile/memo/miss", 1);
+    if (memo_.enabled())
         obs::metricAdd(cm.memoMisses);
-    }
 
     // The ladder's last rung: whatever escapes the per-round guards
     // of compileImpl — including failures outside any round — still
     // yields a runnable program: the scalar input itself.
     try {
         RecExpr out = compileImpl(program, config, st);
-        st.seconds = watch.elapsedSeconds();
+        st.seconds = compileSpan.close();
         // Only clean compiles are worth memoizing: a degraded result
         // (budget cancellation, injected fault) — or one compiled
         // under a request's shrunk budgets (memoWrite false) — should
@@ -207,7 +184,7 @@ IsariaCompiler::compile(const RecExpr &program,
                     std::string("pipeline failed (") + e.what() +
                         "); emitting the scalar input program");
         st.finalCost = st.initialCost;
-        st.seconds = watch.elapsedSeconds();
+        st.seconds = compileSpan.close();
         finishMetrics();
         return program;
     }
@@ -252,8 +229,8 @@ IsariaCompiler::compileImpl(const RecExpr &program,
     Extractor extractor;
     auto extractChecked = [&](const EGraph &eg, EClassId root) {
         obs::Span extractSpan("compile/extract",
+                              compileMetrics().extractNs,
                               static_cast<std::int64_t>(eg.numNodes()));
-        ScopedLatency extractLatency(compileMetrics().extractNs);
         // Extraction is interruptible (satellite of the caching PR):
         // a healthy round's extraction polls the caller's token, so a
         // cancel that lands mid-extraction stops it within a few
@@ -283,8 +260,7 @@ IsariaCompiler::compileImpl(const RecExpr &program,
         // Strawman (Section 2.2): a single equality saturation over
         // the entire synthesized rule set. Its one round degrades
         // straight to the input program on failure.
-        obs::Span roundSpan("compile/round", 1);
-        ScopedLatency roundLatency(compileMetrics().roundNs);
+        obs::Span roundSpan("compile/round", compileMetrics().roundNs, 1);
         RoundStats round;
         round.round = 1;
         try {
@@ -297,8 +273,6 @@ IsariaCompiler::compileImpl(const RecExpr &program,
             round.extractedCost = best.cost;
             st.rounds.push_back(round);
             st.finalCost = best.cost;
-            obs::counter("compile/cost",
-                         static_cast<std::int64_t>(best.cost));
             return std::move(best.expr);
         } catch (const std::exception &e) {
             noteDegrade(st, DegradeLevel::RoundFallback,
@@ -323,8 +297,8 @@ IsariaCompiler::compileImpl(const RecExpr &program,
     for (int iter = 0; iter < config.maxLoopIterations; ++iter) {
         ++st.loopIterations;
         // Rounds are numbered from 1 in stats and trace output.
-        obs::Span roundSpan("compile/round", iter + 1);
-        ScopedLatency roundLatency(compileMetrics().roundNs);
+        obs::Span roundSpan("compile/round", compileMetrics().roundNs,
+                            iter + 1);
         RoundStats round;
         round.round = iter + 1;
         round.ranExpansion = true;
@@ -350,8 +324,6 @@ IsariaCompiler::compileImpl(const RecExpr &program,
             Extracted best = extractChecked(eg, root);
             round.extractedCost = best.cost;
             st.rounds.push_back(round);
-            obs::counter("compile/cost",
-                         static_cast<std::int64_t>(best.cost));
             newCost = best.cost;
             current = std::move(best.expr);
         } catch (const std::exception &e) {

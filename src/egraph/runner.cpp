@@ -190,7 +190,10 @@ EqSatReport
 runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
          const EqSatLimits &limits)
 {
-    Stopwatch watch;
+    const EqSatMetrics &em = eqSatMetrics();
+    // The run's one clock: report.seconds and eqsat/run_ns.
+    obs::Span runSpan("eqsat/run", em.runNs,
+                      static_cast<std::int64_t>(rules.size()));
     Deadline deadline(limits.timeoutSeconds);
     EqSatReport report;
     // An armed fault plan forces the sequential path (the same
@@ -206,33 +209,18 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
                          : resolveEqSatThreads(limits.numThreads);
     ThreadPool pool(static_cast<unsigned>(report.threads));
     report.ruleApplied.assign(rules.size(), 0);
+    report.ruleMatches.assign(rules.size(), 0);
+    report.ruleSearchSteps.assign(rules.size(), 0);
     report.ruleBannedIters.assign(rules.size(), 0);
     std::vector<RuleBackoff> backoff(
         limits.scheduler == EqSatScheduler::Backoff ? rules.size() : 0);
 
-    // Tracing setup. Everything here is observation only — a traced
-    // run produces byte-identical results to an untraced one — and
-    // with tracing disabled the cost is one null check per site.
+    // Shard spans are opened on worker threads, so their name is
+    // interned once per traced run instead of once per shard. Tracing
+    // only observes: a traced run is byte-identical to an untraced one.
     obs::TraceSession *trace = obs::TraceSession::active();
-    obs::Span runSpan("eqsat/run",
-                      static_cast<std::int64_t>(rules.size()));
-    std::uint32_t shardSpanName = 0;
-    std::vector<std::uint32_t> ruleMatchName, ruleStepName,
-        ruleApplyName;
-    if (trace) {
-        shardSpanName = obs::internName("eqsat/shard");
-        ruleMatchName.reserve(rules.size());
-        ruleStepName.reserve(rules.size());
-        ruleApplyName.reserve(rules.size());
-        for (const CompiledRule &rule : rules) {
-            ruleMatchName.push_back(
-                obs::internName("rule/" + rule.name() + "/matches"));
-            ruleStepName.push_back(
-                obs::internName("rule/" + rule.name() + "/steps"));
-            ruleApplyName.push_back(
-                obs::internName("rule/" + rule.name() + "/applied"));
-        }
-    }
+    std::uint32_t shardSpanName =
+        trace ? obs::internName("eqsat/shard") : 0;
 
     ExecControl ctl(&deadline, limits.cancel);
 
@@ -262,8 +250,7 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
             report.stop = StopReason::MemLimit;
             break;
         }
-        obs::Span iterSpan("eqsat/iter", iter);
-        obs::ScopedHistogramTimer iterTimer(eqSatMetrics().iterNs);
+        obs::Span iterSpan("eqsat/iter", em.iterNs, iter);
 
         // Search phase: gather matches for every rule against the
         // frozen e-graph, so application order cannot bias results.
@@ -274,7 +261,7 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
         // skip, not the post-search throttle, is the scheduler's
         // perf win — and the ban state is itself deterministic, so
         // the shard decomposition stays thread-count independent.
-        Stopwatch searchWatch;
+        obs::Span searchSpan("eqsat/search", em.searchNs);
         std::vector<EClassId> allClasses = egraph.canonicalClasses();
         std::vector<OpClassesView> candidates(rules.size());
         std::vector<std::uint8_t> banned(rules.size(), 0);
@@ -318,11 +305,10 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
 
         std::vector<std::vector<PatternMatch>> shardMatches(
             shards.size());
-        // Step budget consumed per shard, recorded only when tracing
-        // (summed into the per-rule step counters after the merge).
-        std::vector<std::size_t> shardSteps(trace ? shards.size() : 0);
-        obs::Span searchSpan("eqsat/search",
-                             static_cast<std::int64_t>(shards.size()));
+        // Step budget consumed per shard (summed per rule after the
+        // merge).
+        std::vector<std::size_t> shardSteps(shards.size());
+        searchSpan.setValue(static_cast<std::int64_t>(shards.size()));
         // Deadline, cancellation, or a shard fault: all three abandon
         // the phase's matches, so the e-graph after the stop is the
         // last completed iteration's — deterministic for any thread
@@ -375,17 +361,11 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
             }
             if (steps == 0)
                 stepsExhausted.store(true, std::memory_order_relaxed);
-            if (trace)
-                shardSteps[t] = shard.steps - steps;
+            shardSteps[t] = shard.steps - steps;
         });
-        double searchSeconds = searchWatch.elapsedSeconds();
-        report.searchSeconds += searchSeconds;
-        obs::metricRecord(eqSatMetrics().searchNs,
-                          static_cast<std::uint64_t>(searchSeconds *
-                                                     1e9));
+        report.searchSeconds += searchSpan.close();
         report.stepBudgetExhausted |=
             stepsExhausted.load(std::memory_order_relaxed);
-        searchSpan.close();
         if (faulted.load(std::memory_order_relaxed)) {
             report.faultInjected = true;
             report.stop = StopReason::Cancelled;
@@ -403,19 +383,21 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
         std::vector<std::vector<PatternMatch>> allMatches(rules.size());
         for (std::size_t t = 0; t < shards.size(); ++t) {
             std::vector<PatternMatch> &dst = allMatches[shards[t].rule];
+            report.ruleSearchSteps[shards[t].rule] += shardSteps[t];
             for (PatternMatch &m : shardMatches[t]) {
                 if (dst.size() >= limits.maxMatchesPerRule)
                     break;
                 dst.push_back(std::move(m));
             }
         }
+        for (std::size_t r = 0; r < rules.size(); ++r)
+            report.ruleMatches[r] += allMatches[r].size();
 
         // Backoff throttle, applied to the merged (already
         // thread-count-independent) match lists: a rule whose match
         // volume exceeds its doubling budget is banned for a doubling
         // number of iterations and contributes nothing this round.
         if (!backoff.empty()) {
-            std::size_t bansBefore = report.schedBans;
             for (std::size_t r = 0; r < rules.size(); ++r) {
                 if (banned[r])
                     continue;
@@ -433,35 +415,12 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
                 allMatches[r].clear();
                 anySchedActivity = true;
             }
-            if (report.schedBans > bansBefore) {
-                obs::counter("eqsat/sched/banned",
-                             static_cast<std::int64_t>(report.schedBans));
-            }
-            if (report.schedSkippedSearches > 0) {
-                obs::counter("eqsat/sched/skipped",
-                             static_cast<std::int64_t>(
-                                 report.schedSkippedSearches));
-            }
-        }
-        if (trace) {
-            std::vector<std::size_t> ruleSteps(rules.size());
-            for (std::size_t t = 0; t < shards.size(); ++t)
-                ruleSteps[shards[t].rule] += shardSteps[t];
-            for (std::size_t r = 0; r < rules.size(); ++r) {
-                trace->recordCounter(
-                    ruleMatchName[r],
-                    static_cast<std::int64_t>(allMatches[r].size()));
-                trace->recordCounter(
-                    ruleStepName[r],
-                    static_cast<std::int64_t>(ruleSteps[r]));
-            }
         }
 
         // Apply phase: round-robin across rules so that when the node
         // budget cuts application short, every rule got a fair share
         // rather than only the rules that happened to come first.
-        Stopwatch applyWatch;
-        obs::Span applySpan("eqsat/apply");
+        obs::Span applySpan("eqsat/apply", em.applyNs);
         std::vector<std::size_t> ruleApplied(rules.size());
         bool changed = false;
         // Set when a stop source cut the apply phase short: the matches
@@ -497,7 +456,6 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
                 break;
         }
         applySpan.setValue(static_cast<std::int64_t>(applied));
-        applySpan.close();
         {
             obs::Span rebuildSpan("eqsat/rebuild");
             // The rebuild fault site fires *before* the real rebuild
@@ -506,50 +464,23 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
             faultPoint(FaultSite::Rebuild);
             egraph.rebuild();
         }
-        double applySeconds = applyWatch.elapsedSeconds();
-        report.applySeconds += applySeconds;
-        obs::metricRecord(eqSatMetrics().applyNs,
-                          static_cast<std::uint64_t>(applySeconds *
-                                                     1e9));
+        report.applySeconds += applySpan.close();
         report.iterations = iter + 1;
         changed |= egraph.numNodes() != nodesBefore;
         for (std::size_t r = 0; r < rules.size(); ++r)
             report.ruleApplied[r] += ruleApplied[r];
-        if (trace) {
-            for (std::size_t r = 0; r < rules.size(); ++r) {
-                trace->recordCounter(
-                    ruleApplyName[r],
-                    static_cast<std::int64_t>(ruleApplied[r]));
-            }
-            // The e-graph growth curve, one sample per iteration.
-            trace->recordCounter(
-                obs::internName("egraph/nodes"),
-                static_cast<std::int64_t>(egraph.numNodes()));
-            trace->recordCounter(
-                obs::internName("egraph/classes"),
-                static_cast<std::int64_t>(egraph.numClasses()));
-            // And the memory curve beneath it: accounted bytes plus
-            // the arena's chunk footprint (how much of bytesUsed is
-            // bump-allocated rather than heap churn).
-            EGraphArenaStats arena = egraph.arenaStats();
-            trace->recordCounter(
-                obs::internName("egraph/arena/bytes"),
-                static_cast<std::int64_t>(arena.bytesAllocated));
-            trace->recordCounter(
-                obs::internName("egraph/arena/chunks"),
-                static_cast<std::int64_t>(arena.numChunks));
-        }
 
         // Always-on registry sampling, one probe per iteration: the
         // memory-telemetry gauges (bytesUsed, arena high water / pool
-        // occupancy) and the high-water node count. The sampling
-        // point is itself a fault-injection site ("egraph-metrics"):
-        // a telemetry-path failure must degrade the run like any
-        // other mid-iteration fault, not abort the compile — the
-        // catch below absorbs it.
+        // occupancy) and the high-water node count. A traced run gets
+        // each written value as a counter event, so these are also
+        // the trace's per-iteration e-graph growth and memory curves.
+        // The sampling point is itself a fault-injection site
+        // ("egraph-metrics"): a telemetry-path failure must degrade
+        // the run like any other mid-iteration fault, not abort the
+        // compile — the catch below absorbs it.
         {
             faultPoint(FaultSite::EGraphMetrics);
-            const EqSatMetrics &em = eqSatMetrics();
             obs::metricMax(em.peakNodes, static_cast<std::int64_t>(
                                              egraph.numNodes()));
             obs::metricSet(em.bytesUsed, static_cast<std::int64_t>(
@@ -594,23 +525,19 @@ runEqSat(EGraph &egraph, const std::vector<CompiledRule> &rules,
         // best-so-far from the repaired graph.
         report.faultInjected = true;
         report.stop = StopReason::Cancelled;
-        obs::instant("eqsat/fault-recovered");
         egraph.rebuild();
     }
 
     report.nodes = egraph.numNodes();
     report.classes = egraph.numClasses();
     report.bytes = egraph.bytesUsed();
-    report.seconds = watch.elapsedSeconds();
+    report.seconds = runSpan.close();
 
     // End-of-run registry totals (always on; see obs/metrics.h).
-    const EqSatMetrics &em = eqSatMetrics();
     obs::metricAdd(em.runs);
     obs::metricAdd(em.iters,
                    static_cast<std::uint64_t>(report.iterations));
     obs::metricAdd(stopCounter(report.stop));
-    obs::metricRecord(em.runNs, static_cast<std::uint64_t>(
-                                    report.seconds * 1e9));
     if (report.schedBans)
         obs::metricAdd(em.schedBans, report.schedBans);
     if (report.schedSkippedSearches)

@@ -188,11 +188,16 @@ struct EqSatReport
     std::size_t schedThrottledMatches = 0;
     /**
      * Per-rule totals over the whole run, indexed like the rule
-     * vector passed to runEqSat: matches applied and iterations
-     * banned. What benchmarks read to see which rules the scheduler
-     * throttled (and that thread counts changed nothing).
+     * vector passed to runEqSat: matches applied, matches the search
+     * kept (after the per-rule cap, before the backoff throttle
+     * discards a banned rule's), search steps spent, and iterations
+     * banned. What benchmarks read to see which rules cost search
+     * time and which the scheduler throttled (and that thread counts
+     * changed nothing). Not part of the CompileReport JSON.
      */
     std::vector<std::size_t> ruleApplied;
+    std::vector<std::size_t> ruleMatches;
+    std::vector<std::size_t> ruleSearchSteps;
     std::vector<std::size_t> ruleBannedIters;
 
     std::string toString() const;

@@ -5,30 +5,11 @@
 namespace isaria
 {
 
-namespace
-{
-
-MachineDesc
-fusionFromConfig(const IsaConfig &config)
-{
-    MachineDesc m =
-        MachineDesc::fusionG3(config.enableMulSub, config.enableSqrtSgn);
-    m.vectorWidth = config.vectorWidth;
-    return m;
-}
-
-} // namespace
-
 IsaSpec::IsaSpec() : IsaSpec(MachineDesc::fromEnv()) {}
-
-IsaSpec::IsaSpec(IsaConfig config) : IsaSpec(fusionFromConfig(config)) {}
 
 IsaSpec::IsaSpec(MachineDesc machine) : machine_(std::move(machine))
 {
     ISARIA_ASSERT(machine_.vectorWidth >= 1, "bad vector width");
-    config_.vectorWidth = machine_.vectorWidth;
-    config_.enableMulSub = machine_.enableMulSub;
-    config_.enableSqrtSgn = machine_.enableSqrtSgn;
 
     scalarOps_ = {Op::Add, Op::Sub, Op::Mul, Op::Div,
                   Op::Neg, Op::Sgn, Op::Sqrt};

@@ -8,10 +8,10 @@
  * An IsaSpec is what rule synthesis and the offline pipeline consume:
  * the enabled op lists, the lane width, and the target name — all
  * derived from a machine description (machine_desc.h), never from
- * parallel hardcoded defaults. The legacy IsaConfig surface survives
- * as the Fusion-family customization knob of Section 5.4: flip a
- * flag (a few lines of interpreter and cost model in the paper),
- * re-run the offline pipeline, get a new compiler.
+ * parallel hardcoded defaults. The Section 5.4 customization is a
+ * machine too: MachineDesc::fusionG3(mulSub, sqrtSgn) flips a custom
+ * instruction on (a few lines of interpreter and cost model in the
+ * paper), and re-running the offline pipeline gives a new compiler.
  */
 
 #include <string>
@@ -23,21 +23,6 @@
 namespace isaria
 {
 
-/**
- * Legacy Fusion-family customization surface: width plus the two
- * Section 5.4 custom instructions. IsaSpec(IsaConfig) always means
- * the fusion-g3 family; use IsaSpec(MachineDesc) for other targets.
- */
-struct IsaConfig
-{
-    /** SIMD width in lanes (Fusion G3 single-precision: 4). */
-    int vectorWidth = 4;
-    /** Custom multiply-subtract (Section 5.4). */
-    bool enableMulSub = false;
-    /** Custom square-root-sign-product (Section 5.4). */
-    bool enableSqrtSgn = false;
-};
-
 /** An instruction set instance: enabled ops + width, from a machine
  *  description. */
 class IsaSpec
@@ -45,15 +30,11 @@ class IsaSpec
   public:
     /** The session default target (MachineDesc::fromEnv). */
     IsaSpec();
-    /** The fusion-g3 family with @p config's width and custom ops. */
-    explicit IsaSpec(IsaConfig config);
     /** Any target. */
     explicit IsaSpec(MachineDesc machine);
 
     /** The full machine description this spec was built from. */
     const MachineDesc &machine() const { return machine_; }
-    /** Width + custom-op view (legacy accessor). */
-    const IsaConfig &config() const { return config_; }
     int vectorWidth() const { return machine_.vectorWidth; }
 
     /** True if @p op exists on this target. */
@@ -71,7 +52,6 @@ class IsaSpec
 
   private:
     MachineDesc machine_;
-    IsaConfig config_;
     std::vector<Op> scalarOps_;
     std::vector<Op> vectorOps_;
 };

@@ -369,14 +369,7 @@ lowerProgram(const RecExpr &program, const LowerOptions &options)
                      "machine description");
     }
     Lowerer lowerer(program, options);
-    VmProgram out = lowerer.run();
-    if (obs::enabled()) {
-        obs::counter("lower/instructions",
-                     static_cast<std::int64_t>(out.code.size()));
-        obs::counter("lower/scalar-regs", out.numScalarRegs);
-        obs::counter("lower/vector-regs", out.numVectorRegs);
-    }
-    return out;
+    return lowerer.run();
 }
 
 Result<VmProgram>

@@ -19,7 +19,6 @@ kindName(EventKind kind)
     switch (kind) {
       case EventKind::Span: return "span";
       case EventKind::Counter: return "counter";
-      case EventKind::Instant: return "instant";
     }
     return "?";
 }
@@ -37,7 +36,7 @@ microseconds(std::uint64_t ns)
 } // namespace
 
 std::string
-jsonEscape(const std::string &text)
+jsonEscape(std::string_view text)
 {
     std::string out;
     out.reserve(text.size());
@@ -135,12 +134,6 @@ exportChromeTrace(const TraceSession &session, std::ostream &out)
                 << microseconds(e.startNs) << ",\"args\":{\"value\":"
                 << e.value << "}}";
             break;
-          case EventKind::Instant:
-            out << "{\"name\":\"" << name
-                << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-                << tagged.tid << ",\"ts\":" << microseconds(e.startNs)
-                << ",\"args\":{\"value\":" << e.value << "}}";
-            break;
         }
     }
     out << "\n]}\n";
@@ -166,7 +159,6 @@ aggregateStats(const TraceSession &session)
         StatsEntry &entry = it->second;
         if (fresh) {
             entry.name = name;
-            entry.kind = e.kind;
             entry.min = e.value;
             entry.max = e.value;
         }

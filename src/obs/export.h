@@ -16,13 +16,16 @@
  *   "ph":"C" series, threads map to trace rows.
  *
  * The aggregated StatsReport is what `--stats` prints: per-span-name
- * wall time and call counts plus per-counter summaries — the same
- * numbers every perf PR should quote instead of bespoke printfs.
+ * wall time and call counts plus per-counter summaries (a registry
+ * counter's events carry deltas, so their sum is its total; a gauge's
+ * carry the values written) — the same numbers every perf PR should
+ * quote instead of bespoke printfs.
  */
 
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/obs.h"
@@ -37,8 +40,9 @@ namespace isaria::obs
  *  sub-object — see obs/metrics.h and tools/trace_schema.json. */
 inline constexpr int kTraceSchemaVersion = 2;
 
-/** Escapes @p text for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string &text);
+/** Escapes @p text for embedding inside a JSON string literal (the
+ *  one escaper of every JSON artifact, daemon responses included). */
+std::string jsonEscape(std::string_view text);
 
 /** Writes the session's events as JSON-lines to @p out. */
 void exportJsonl(const TraceSession &session, std::ostream &out);
@@ -50,7 +54,6 @@ void exportChromeTrace(const TraceSession &session, std::ostream &out);
 struct StatsEntry
 {
     std::string name;
-    EventKind kind = EventKind::Instant;
     std::uint64_t count = 0;
     /** Spans: total wall time inside the span. */
     std::uint64_t totalNs = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
@@ -15,7 +16,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include <pthread.h>
+
 #include "obs/export.h"
+#include "obs/obs.h"
 
 namespace isaria::obs
 {
@@ -27,10 +31,11 @@ namespace
 // The registry.
 //
 // Shape: a global definition table (name → kind + dense per-kind slot)
-// plus one Shard per recording thread. Counter and histogram slots
-// live in the shards (single-writer, merged on read); gauges are
-// registry-global (a "set" is last-writer-wins — per-thread copies
-// would have no meaningful merge).
+// plus one Shard per live recording thread and one retired Shard that
+// accumulates the shards of threads that have exited. Counter and
+// histogram slots live in the shards (single-writer, merged on read);
+// gauges are registry-global (a "set" is last-writer-wins — per-thread
+// copies would have no meaningful merge).
 //
 // Single-writer slots let the hot path use relaxed load+store instead
 // of RMW atomics; the only cross-thread traffic is the snapshot
@@ -67,6 +72,9 @@ struct MetricDef
     std::uint32_t slot = 0;
 };
 
+/** The exit hook of a thread that registered a shard. */
+void retireThreadShard(void *shard);
+
 class Registry
 {
   public:
@@ -76,6 +84,9 @@ class Registry
             env && std::strcmp(env, "0") == 0) {
             enabled_.store(false, std::memory_order_relaxed);
         }
+        shards_.push_back(std::make_unique<Shard>());
+        haveExitKey_ =
+            pthread_key_create(&exitKey_, retireThreadShard) == 0;
     }
 
     std::uint32_t
@@ -209,6 +220,10 @@ class Registry
         std::fill(gaugeSet_.begin(), gaugeSet_.end(), false);
     }
 
+    /** Folds @p shard (an exiting thread's) into the retired shard
+     *  and frees it. */
+    void retire(Shard *shard);
+
     MetricsSnapshot snapshot() const;
 
   private:
@@ -247,7 +262,15 @@ class Registry
     std::vector<std::int64_t> gauges_;
     /** Distinguishes "never set" from "set to 0" for gaugeMax. */
     std::deque<bool> gaugeSet_;
+    /** shards_[0] holds the totals of exited threads; the rest belong
+     *  to live threads. */
     std::vector<std::unique_ptr<Shard>> shards_;
+    /** Runs retireThreadShard when a registered thread exits. The main
+     *  thread's shard is never retired (key destructors do not run at
+     *  exit()), so sites may still record during static teardown.
+     *  Without a key (the process ran out of them), shards stay. */
+    pthread_key_t exitKey_{};
+    bool haveExitKey_ = false;
 };
 
 /** Out of line, so that registry() stays small enough to inline into
@@ -266,6 +289,15 @@ registry()
     return *instance;
 }
 
+void
+retireThreadShard(void *shard)
+{
+    // The thread may record again after this (another exit hook): it
+    // then registers a fresh shard, and this hook runs once more.
+    tlShard = nullptr;
+    registry().retire(static_cast<Shard *>(shard));
+}
+
 Shard &
 Registry::shard()
 {
@@ -274,7 +306,47 @@ Registry::shard()
     std::lock_guard<std::mutex> lock(mutex_);
     shards_.push_back(std::make_unique<Shard>());
     tlShard = shards_.back().get();
+    if (haveExitKey_)
+        pthread_setspecific(exitKey_, tlShard);
     return *tlShard;
+}
+
+void
+Registry::retire(Shard *shard)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Relaxed adds suffice: the exiting thread wrote its cells before
+    // its exit hook ran, and readers hold this mutex.
+    auto add = [](std::atomic<std::uint64_t> &to, std::uint64_t value) {
+        to.store(to.load(std::memory_order_relaxed) + value,
+                 std::memory_order_relaxed);
+    };
+    auto get = [](const std::atomic<std::uint64_t> &cell) {
+        return cell.load(std::memory_order_relaxed);
+    };
+    Shard &retired = *shards_.front();
+    for (std::size_t i = 0; i < shard->counters.size(); ++i) {
+        if (i == retired.counters.size())
+            retired.counters.emplace_back(0);
+        add(retired.counters[i], get(shard->counters[i]));
+    }
+    for (std::size_t i = 0; i < shard->histograms.size(); ++i) {
+        if (i == retired.histograms.size())
+            retired.histograms.push_back(std::make_unique<HistogramShard>());
+        const HistogramShard &from = *shard->histograms[i];
+        HistogramShard &to = *retired.histograms[i];
+        for (std::uint32_t b = 0; b < kHistogramBuckets; ++b)
+            add(to.buckets[b], get(from.buckets[b]));
+        add(to.count, get(from.count));
+        add(to.sum, get(from.sum));
+        to.min.store(std::min(get(to.min), get(from.min)),
+                     std::memory_order_relaxed);
+        to.max.store(std::max(get(to.max), get(from.max)),
+                     std::memory_order_relaxed);
+    }
+    std::erase_if(shards_, [&](const std::unique_ptr<Shard> &live) {
+        return live.get() == shard;
+    });
 }
 
 std::atomic<std::uint64_t> &
@@ -392,13 +464,15 @@ metricKindName(MetricKind kind)
 CounterHandle
 metricCounter(const char *name)
 {
-    return {registry().define(name, MetricKind::Counter, "")};
+    return {registry().define(name, MetricKind::Counter, ""),
+            internName(name)};
 }
 
 GaugeHandle
 metricGauge(const char *name)
 {
-    return {registry().define(name, MetricKind::Gauge, "")};
+    return {registry().define(name, MetricKind::Gauge, ""),
+            internName(name)};
 }
 
 HistogramHandle
@@ -407,31 +481,38 @@ metricHistogram(const char *name, const char *unit)
     return {registry().define(name, MetricKind::Histogram, unit)};
 }
 
+// The kill switch governs the registry; an active trace session gets
+// its counter event either way.
+
 void
 metricAdd(CounterHandle handle, std::uint64_t delta)
 {
     Registry &reg = registry();
-    if (!reg.enabledFast())
-        return;
-    reg.counterAdd(handle.slot, delta);
+    if (reg.enabledFast())
+        reg.counterAdd(handle.slot, delta);
+    if (TraceSession *session = TraceSession::active())
+        session->recordCounter(handle.traceName,
+                               static_cast<std::int64_t>(delta));
 }
 
 void
 metricSet(GaugeHandle handle, std::int64_t value)
 {
     Registry &reg = registry();
-    if (!reg.enabledFast())
-        return;
-    reg.gaugeSet(handle.slot, value);
+    if (reg.enabledFast())
+        reg.gaugeSet(handle.slot, value);
+    if (TraceSession *session = TraceSession::active())
+        session->recordCounter(handle.traceName, value);
 }
 
 void
 metricMax(GaugeHandle handle, std::int64_t value)
 {
     Registry &reg = registry();
-    if (!reg.enabledFast())
-        return;
-    reg.gaugeMax(handle.slot, value);
+    if (reg.enabledFast())
+        reg.gaugeMax(handle.slot, value);
+    if (TraceSession *session = TraceSession::active())
+        session->recordCounter(handle.traceName, value);
 }
 
 void
@@ -441,25 +522,6 @@ metricRecord(HistogramHandle handle, std::uint64_t value)
     if (!reg.enabledFast())
         return;
     reg.histogramRecord(handle.slot, value);
-}
-
-ScopedHistogramTimer::ScopedHistogramTimer(HistogramHandle handle)
-    : handle_(handle)
-{
-    if (!registry().enabledFast())
-        return;
-    armed_ = true;
-    start_ = std::chrono::steady_clock::now();
-}
-
-ScopedHistogramTimer::~ScopedHistogramTimer()
-{
-    if (!armed_)
-        return;
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-    metricRecord(handle_, static_cast<std::uint64_t>(ns));
 }
 
 void

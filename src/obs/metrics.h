@@ -5,15 +5,16 @@
  * @file
  * Always-on process metrics: counters, gauges, latency histograms.
  *
- * The tracing substrate (obs/obs.h) is session-scoped — spans vanish
- * when no TraceSession is active, and aggregating them requires
- * retaining every event in memory. This tier is the complement a
- * long-running compile service needs: a process-global
- * MetricsRegistry of monotonic counters, last-value/max gauges, and
- * log-bucketed latency histograms that is *always recording*, holds a
- * fixed, bounded footprint regardless of run length, and can be
- * snapshotted at any point into an OpenMetrics text page or a JSON
- * block.
+ * The registry is the one API that records counts and durations: a
+ * process-global MetricsRegistry of monotonic counters, last-value/max
+ * gauges, and log-bucketed latency histograms that is *always
+ * recording*, holds a fixed, bounded footprint regardless of run
+ * length, and can be snapshotted at any point into an OpenMetrics text
+ * page or a JSON block. Traces derive from it (obs/obs.h): while a
+ * TraceSession is active, metricAdd also pushes a trace counter event
+ * carrying the delta, metricSet/metricMax one carrying the value
+ * written, and a timed obs::Span samples its histogram from the same
+ * clock reads as its trace span.
  *
  * Design constraints, in priority order:
  *
@@ -25,12 +26,13 @@
  *    BM_MetricsDisabled pins the kill-switch branch). No lock, no
  *    allocation, no clock read happens on the steady-state path; a
  *    thread's first touch of the registry registers its shard under a
- *    mutex, once.
+ *    mutex, once, and the thread's exit folds it back into the
+ *    registry and frees it.
  * 2. **Bounded memory.** Histograms use a fixed HdrHistogram-style
  *    log-linear bucket layout (histogramBucket below): values < 32
  *    are exact, larger values land in one of 16 sub-buckets per
  *    power of two, for kHistogramBuckets total — the whole dynamic
- *    range of uint64 in ~8 KiB per histogram per thread, with
+ *    range of uint64 in ~8 KiB per histogram per live thread, with
  *    quantile estimates within 1/32 relative error
  *    (tests/metrics_test.cpp pins the bound adversarially).
  * 3. **Reads never stop writers.** snapshotMetrics() merges the
@@ -49,7 +51,8 @@
  *
  *   static const obs::HistogramHandle h =
  *       obs::metricHistogram("compile/wall_ns");
- *   obs::metricRecord(h, elapsedNs);
+ *   obs::Span span("compile", h);          // obs/obs.h
+ *   stats.seconds = span.close();
  *
  * Export surfaces:
  *
@@ -60,7 +63,6 @@
  */
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -146,11 +148,15 @@ const char *metricKindName(MetricKind kind);
 struct CounterHandle
 {
     std::uint32_t slot = 0;
+    /** The metric's name in the trace-name table (obs/obs.h). */
+    std::uint32_t traceName = 0;
 };
 
 struct GaugeHandle
 {
     std::uint32_t slot = 0;
+    /** The metric's name in the trace-name table (obs/obs.h). */
+    std::uint32_t traceName = 0;
 };
 
 struct HistogramHandle
@@ -172,37 +178,22 @@ GaugeHandle metricGauge(const char *name);
  *  display hint stamped into exports ("ns", "bytes"; may be empty). */
 HistogramHandle metricHistogram(const char *name, const char *unit = "ns");
 
-/** Adds @p delta to a counter (no-op when metrics are disabled). */
+/** Adds @p delta to a counter (no-op when metrics are disabled); an
+ *  active trace session also gets a counter event carrying @p delta. */
 void metricAdd(CounterHandle handle, std::uint64_t delta = 1);
 
-/** Sets a gauge to @p value (last-writer-wins across threads). */
+/** Sets a gauge to @p value (last-writer-wins across threads); an
+ *  active trace session also gets a counter event carrying @p value. */
 void metricSet(GaugeHandle handle, std::int64_t value);
 
-/** Raises a gauge to @p value if larger (high-water marks). */
+/** Raises a gauge to @p value if larger (high-water marks); an active
+ *  trace session gets @p value itself, so the trace keeps the curve
+ *  beneath the high-water mark. */
 void metricMax(GaugeHandle handle, std::int64_t value);
 
-/** Records one @p value observation into a histogram. */
+/** Records one @p value observation into a histogram (registry only;
+ *  a timed obs::Span adds the matching trace span). */
 void metricRecord(HistogramHandle handle, std::uint64_t value);
-
-/**
- * RAII latency sample: records the scope's wall time (ns) into a
- * histogram at scope exit. Skips the clock read entirely when the
- * kill switch is off, so a disabled scope costs one branch.
- */
-class ScopedHistogramTimer
-{
-  public:
-    explicit ScopedHistogramTimer(HistogramHandle handle);
-    ~ScopedHistogramTimer();
-
-    ScopedHistogramTimer(const ScopedHistogramTimer &) = delete;
-    ScopedHistogramTimer &operator=(const ScopedHistogramTimer &) = delete;
-
-  private:
-    HistogramHandle handle_;
-    bool armed_ = false;
-    std::chrono::steady_clock::time_point start_;
-};
 
 /**
  * The process-wide kill switch (also ISARIA_METRICS=0 at startup).

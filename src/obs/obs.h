@@ -3,16 +3,19 @@
 
 /**
  * @file
- * Pipeline-wide tracing and metrics: sessions, scoped spans, counters.
+ * Pipeline-wide tracing: sessions and scoped spans.
  *
  * Every stage of the pipeline — rule synthesis, phase assignment, the
  * Fig. 3 compile loop, equality saturation (including its parallel
- * search shards), lowering, and the cycle simulator — emits spans and
- * counters through this layer. The compile loop and synthesis are
- * budget-driven (node caps, step budgets, per-EqSat timeouts); this
- * substrate is the single place where those budgets become visible
- * as per-phase wall time and counter curves instead of ad-hoc
- * printouts.
+ * search shards), lowering, and the cycle simulator — records through
+ * one substrate, each event through one call. The metrics registry
+ * (obs/metrics.h) records counts and durations; a trace derives from
+ * it: while a session is active, a registry counter add also lands
+ * here as a counter event carrying the delta, and a gauge write as one
+ * carrying the value written. Spans are this layer's own. A span built
+ * with a histogram handle is the one clock of its interval: it records
+ * the trace span and the histogram sample from the same clock reads
+ * and returns the elapsed seconds for the caller's report.
  *
  * Design constraints, in priority order:
  *
@@ -20,7 +23,8 @@
  *    single global "active session" pointer; every emission helper
  *    loads it (relaxed) and returns when null. No name interning, no
  *    clock read, no allocation happens on the disabled path
- *    (`bench/micro_egraph`'s BM_ObsSpanDisabled pins this).
+ *    (`bench/micro_egraph`'s BM_ObsSpanDisabled pins this); only a
+ *    timed span reads the clock, since its caller needs the duration.
  * 2. **Recording never perturbs results.** Instrumentation only
  *    observes; traced and untraced runs produce byte-identical
  *    extractions (tests/obs_test.cpp pins this at 1 and 4 threads).
@@ -33,10 +37,12 @@
  *
  *   TraceSession session;
  *   session.activate();
- *   { Span s("eqsat/iter", iter); ... }     // RAII span
- *   counter("egraph/nodes", eg.numNodes()); // sampled counter
+ *   { Span s("eqsat/rebuild"); ... }       // trace-only span
+ *   Span run("eqsat/run", runNs);          // timed: span + histogram
+ *   report.seconds = run.close();
+ *   metricAdd(hits);                       // registry + counter event
  *   session.deactivate();
- *   exportChromeTrace(session, out);        // obs/export.h
+ *   exportChromeTrace(session, out);       // obs/export.h
  *
  * Binaries opt in through one surface: `--trace=<file>`,
  * `--trace-format={jsonl,chrome}`, `--stats`, or the environment
@@ -52,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/ring_buffer.h"
 
 namespace isaria::obs
@@ -60,7 +67,8 @@ namespace isaria::obs
 /**
  * Interns @p name into the process-wide trace-name table and returns
  * its id. Interning takes a lock; call it once per site or per run
- * (Span and counter() intern lazily, only when a session is active).
+ * (Span interns lazily, only when a session is active; registry
+ * handles intern once, at registration).
  */
 std::uint32_t internName(const std::string &name);
 
@@ -106,17 +114,17 @@ class TraceSession
         return activeSession_.load(std::memory_order_acquire);
     }
 
-    /** Nanoseconds since this session's construction. */
+    /** Nanoseconds from this session's construction to @p time. */
     std::uint64_t
-    nowNs() const
+    sinceEpochNs(std::chrono::steady_clock::time_point time) const
     {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - epoch_)
+                time - epoch_)
                 .count());
     }
 
-    /** Records a closed span (called by Span's destructor). */
+    /** Records a closed span (called by Span::close). */
     void
     recordSpan(std::uint32_t name, std::uint64_t startNs,
                std::uint64_t durNs, std::int64_t value)
@@ -124,18 +132,14 @@ class TraceSession
         ring().push({name, EventKind::Span, startNs, durNs, value});
     }
 
-    /** Records a counter sample (value observed now). */
+    /** Records a counter event observed now: a registry counter's
+     *  delta or a gauge's written value (see obs/metrics.h). */
     void
     recordCounter(std::uint32_t name, std::int64_t value)
     {
-        ring().push({name, EventKind::Counter, nowNs(), 0, value});
-    }
-
-    /** Records an instant marker. */
-    void
-    recordInstant(std::uint32_t name, std::int64_t value = 0)
-    {
-        ring().push({name, EventKind::Instant, nowNs(), 0, value});
+        ring().push({name, EventKind::Counter,
+                     sinceEpochNs(std::chrono::steady_clock::now()), 0,
+                     value});
     }
 
     /**
@@ -169,33 +173,47 @@ class TraceSession
 };
 
 /**
- * RAII scoped span. Costs one branch when tracing is disabled; when
- * enabled, interns its name lazily and records one Span event at
- * scope exit.
+ * RAII scoped span. A trace-only span costs one branch when tracing is
+ * disabled; when enabled, it interns its name lazily and records one
+ * Span event at scope exit.
+ *
+ * A timed span (built with a HistogramHandle) is the one clock of its
+ * interval: it always reads the clock, and close() records the trace
+ * span (when a session is active) and the histogram sample (when the
+ * registry is on) from the same two reads and returns the elapsed
+ * seconds, which callers store in their reports.
  */
 class Span
 {
+    using Clock = std::chrono::steady_clock;
+
   public:
     explicit Span(const char *name, std::int64_t value = 0)
-        : session_(TraceSession::active())
+        : session_(TraceSession::active()), value_(value)
     {
         if (!session_)
             return;
         name_ = internName(name);
-        value_ = value;
-        startNs_ = session_->nowNs();
+        start_ = Clock::now();
     }
 
-    /** Span with a pre-interned name (for per-rule dynamic names). */
+    /** A timed span that also samples @p histogram at close. */
+    Span(const char *name, HistogramHandle histogram,
+         std::int64_t value = 0)
+        : session_(TraceSession::active()), value_(value),
+          histogram_(histogram), timed_(true), start_(Clock::now())
+    {
+        if (session_)
+            name_ = internName(name);
+    }
+
+    /** Span with a pre-interned name (worker-thread hot sites). */
     Span(std::uint32_t nameId, TraceSession *session,
          std::int64_t value = 0)
-        : session_(session)
+        : session_(session), name_(nameId), value_(value)
     {
-        if (!session_)
-            return;
-        name_ = nameId;
-        value_ = value;
-        startNs_ = session_->nowNs();
+        if (session_)
+            start_ = Clock::now();
     }
 
     Span(const Span &) = delete;
@@ -208,15 +226,30 @@ class Span
         value_ = value;
     }
 
-    /** Closes the span now instead of at scope exit (idempotent). */
-    void
+    /**
+     * Closes the span now instead of at scope exit and returns its
+     * elapsed seconds: always for a timed span, and for a trace-only
+     * span only when a session recorded it (0 otherwise). Idempotent:
+     * a second close returns the first one's value.
+     */
+    double
     close()
     {
-        if (session_) {
-            session_->recordSpan(name_, startNs_,
-                                 session_->nowNs() - startNs_, value_);
-            session_ = nullptr;
-        }
+        if (!session_ && !timed_)
+            return seconds_;
+        auto ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - start_)
+                .count());
+        if (session_)
+            session_->recordSpan(name_, session_->sinceEpochNs(start_),
+                                 ns, value_);
+        if (timed_)
+            metricRecord(histogram_, ns);
+        session_ = nullptr;
+        timed_ = false;
+        seconds_ = static_cast<double>(ns) / 1e9;
+        return seconds_;
     }
 
     ~Span() { close(); }
@@ -224,40 +257,12 @@ class Span
   private:
     TraceSession *session_;
     std::uint32_t name_ = 0;
-    std::uint64_t startNs_ = 0;
     std::int64_t value_ = 0;
+    HistogramHandle histogram_;
+    bool timed_ = false;
+    Clock::time_point start_;
+    double seconds_ = 0;
 };
-
-/** Records a counter sample on the active session, if any. */
-inline void
-counter(const char *name, std::int64_t value)
-{
-    if (TraceSession *session = TraceSession::active())
-        session->recordCounter(internName(name), value);
-}
-
-/** Counter with a pre-interned name (hot loops, dynamic names). */
-inline void
-counterId(std::uint32_t nameId, std::int64_t value)
-{
-    if (TraceSession *session = TraceSession::active())
-        session->recordCounter(nameId, value);
-}
-
-/** Records an instant marker on the active session, if any. */
-inline void
-instant(const char *name, std::int64_t value = 0)
-{
-    if (TraceSession *session = TraceSession::active())
-        session->recordInstant(internName(name), value);
-}
-
-/** True when a session is recording (for gating setup-only work). */
-inline bool
-enabled()
-{
-    return TraceSession::active() != nullptr;
-}
 
 // ---------------------------------------------------------------------
 // The opt-in surface shared by every binary.

@@ -31,10 +31,9 @@ enum class EventKind : std::uint8_t
 {
     /** A closed scoped region: [startNs, startNs + durNs). */
     Span,
-    /** A named sample: value observed at startNs. */
+    /** A registry counter's delta or a gauge's written value, at
+     *  startNs (see obs/metrics.h). */
     Counter,
-    /** A point-in-time marker. */
-    Instant,
 };
 
 /** One trace event; the thread id lives on the owning ring. */
@@ -42,10 +41,10 @@ struct Event
 {
     /** Interned name id (see obs.h). */
     std::uint32_t name = 0;
-    EventKind kind = EventKind::Instant;
+    EventKind kind = EventKind::Span;
     /** Nanoseconds since session start. */
     std::uint64_t startNs = 0;
-    /** Span duration in nanoseconds (0 for counters/instants). */
+    /** Span duration in nanoseconds (0 for counters). */
     std::uint64_t durNs = 0;
     /** Counter sample or span argument (rule index, iteration, ...). */
     std::int64_t value = 0;

@@ -86,14 +86,6 @@ assignPhases(const RuleSet &rules, const DspCostModel &cost)
     out.all.reserve(rules.size());
     for (const Rule &rule : rules.rules())
         out.all.push_back(scoreRule(rule, cost));
-    if (obs::enabled()) {
-        for (Phase phase : {Phase::Expansion, Phase::Compilation,
-                            Phase::Optimization}) {
-            obs::counter(
-                (std::string("phase/") + phaseName(phase)).c_str(),
-                static_cast<std::int64_t>(out.countOf(phase)));
-        }
-    }
     return out;
 }
 

@@ -1,7 +1,6 @@
 #include "serve/json.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace isaria::serve
@@ -307,33 +306,6 @@ parseJson(std::string_view text)
 {
     Parser parser(text);
     return parser.parseDocument();
-}
-
-std::string
-jsonEscapeString(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace isaria::serve

@@ -84,9 +84,6 @@ class JsonValue
  *  error). Diagnostics carry the 1-based input line. */
 Result<JsonValue> parseJson(std::string_view text);
 
-/** Escapes @p text for embedding inside a JSON string literal. */
-std::string jsonEscapeString(std::string_view text);
-
 } // namespace isaria::serve
 
 #endif // ISARIA_SERVE_JSON_H

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/export.h"
 #include "serve/json.h"
 #include "term/sexpr.h"
 
@@ -230,7 +231,7 @@ makeErrorResponse(const Error &error, int status)
     response.type = ResponseType::Error;
     response.status = status;
     response.body = std::string("{\"type\":\"error\",\"error\":{") +
-                    "\"message\":\"" + jsonEscapeString(error.message) +
+                    "\"message\":\"" + obs::jsonEscape(error.message) +
                     "\",\"line\":" + std::to_string(error.line) + "}}";
     return response;
 }
@@ -244,7 +245,7 @@ makeOverloadedResponse(const std::string &reason, std::size_t queueDepth,
     response.status = 503;
     long retryMs = std::lround(retryAfterSeconds * 1000.0);
     response.body = std::string("{\"type\":\"overloaded\",\"reason\":\"") +
-                    jsonEscapeString(reason) +
+                    obs::jsonEscape(reason) +
                     "\",\"queue_depth\":" + std::to_string(queueDepth) +
                     ",\"retry_after_ms\":" + std::to_string(retryMs) +
                     "}";

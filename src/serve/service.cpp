@@ -5,6 +5,7 @@
 
 #include "compiler/report.h"
 #include "isa/machine_desc.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/json.h"
 #include "support/timer.h"
@@ -232,7 +233,7 @@ CompileService::compileAdmitted(const CompileRequest &request,
                     ",\"report\":" + report.toJson();
     if (request.emitProgram)
         response.body += std::string(",\"program\":\"") +
-                         jsonEscapeString(printSexpr(compiled)) + "\"";
+                         obs::jsonEscape(printSexpr(compiled)) + "\"";
     response.body += "}";
     return response;
 }

@@ -224,8 +224,6 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     enumSpan.setValue(
         static_cast<std::int64_t>(report.candidatesConsidered));
     enumSpan.close();
-    obs::counter("synth/candidates",
-                 static_cast<std::int64_t>(report.candidatesConsidered));
 
     DspCostModel costModel(config.costParams);
     // The §3.2 compilation test: the sides differ in cost by more than
@@ -295,8 +293,6 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
                 return isCompilationPair(c.pair);
             });
     }
-    obs::counter("synth/duplicate-pairs",
-                 static_cast<std::int64_t>(report.duplicatePairs));
 
     // --- Phase 2: shrink — accept small sound rules, prune the rest
     // by derivability under equality saturation.
@@ -347,12 +343,14 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
         }
         std::size_t prunedHere = report.prunedDerivable - prunedBefore;
         pruneSpan.setValue(static_cast<std::int64_t>(prunedHere));
-        // Shrink-loop visibility: window size and how many candidates
-        // the derivability saturation left alive.
-        obs::counter("synth/prune/window",
-                     static_cast<std::int64_t>(ids.size()));
-        obs::counter("synth/prune/survivors",
-                     static_cast<std::int64_t>(ids.size() - prunedHere));
+        // Shrink-loop visibility: candidates in each window and how
+        // many the derivability saturation left alive.
+        static const obs::CounterHandle windowMetric =
+            obs::metricCounter("synth/prune/window");
+        static const obs::CounterHandle survivorsMetric =
+            obs::metricCounter("synth/prune/survivors");
+        obs::metricAdd(windowMetric, ids.size());
+        obs::metricAdd(survivorsMetric, ids.size() - prunedHere);
     };
 
     // Verdict tallies for the shrink phase's stats counters.
@@ -481,20 +479,7 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     shrinkSpan.setValue(
         static_cast<std::int64_t>(report.oneWideRules.size()));
     shrinkSpan.close();
-    obs::counter("synth/verified/proved",
-                 static_cast<std::int64_t>(
-                     verdictCounts[static_cast<int>(Verdict::Proved)]));
-    obs::counter("synth/verified/tested",
-                 static_cast<std::int64_t>(
-                     verdictCounts[static_cast<int>(Verdict::Tested)]));
-    obs::counter(
-        "synth/verified/rejected",
-        static_cast<std::int64_t>(
-            verdictCounts[static_cast<int>(Verdict::Rejected)]));
-    obs::counter("synth/pruned-derivable",
-                 static_cast<std::int64_t>(report.prunedDerivable));
-    // Always-on verdict tallies (the trace counters above vanish with
-    // the session; these feed the service-facing registry).
+    // Always-on verdict tallies.
     static const obs::CounterHandle provedMetric =
         obs::metricCounter("synth/verified/proved");
     static const obs::CounterHandle testedMetric =
@@ -566,8 +551,6 @@ synthesizeRules(const IsaSpec &isa, const SynthConfig &rawConfig)
     }
     report.generalizeSeconds = watch.elapsedSeconds();
     generalizeSpan.close();
-    obs::counter("synth/rules",
-                 static_cast<std::int64_t>(report.rules.size()));
 
     return report;
 }

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 
 #include "obs/obs.h"
 #include "support/panic.h"
@@ -263,6 +264,24 @@ struct Machine
     }
 };
 
+/** Always-on issue statistics of simulated runs (see obs/metrics.h):
+ *  instructions per opcode ("vm/op/<name>") and per issue slot. */
+struct VmMetrics
+{
+    std::array<obs::CounterHandle, kNumVmOps> ops;
+    obs::CounterHandle moveSlot = obs::metricCounter("vm/slot/move");
+    obs::CounterHandle computeSlot =
+        obs::metricCounter("vm/slot/compute");
+
+    VmMetrics()
+    {
+        for (std::size_t op = 0; op < kNumVmOps; ++op)
+            ops[op] = obs::metricCounter(
+                (std::string("vm/op/") + vmOpName(static_cast<VmOp>(op)))
+                    .c_str());
+    }
+};
+
 } // namespace
 
 VmRunResult
@@ -282,39 +301,24 @@ runProgram(const VmProgram &program, const VmMemory &inputs,
     out.cycles = machine.lastWrite;
     out.instructions = program.code.size();
 
-    if (obs::TraceSession *trace = obs::TraceSession::active()) {
-        // Opcode and issue-slot histograms for the simulated run —
-        // aggregated outside the exec loop so tracing never touches
-        // the cycle-accounting hot path.
-        std::array<std::uint64_t, 64> opCounts{};
-        std::uint64_t moveSlot = 0;
-        std::uint64_t computeSlot = 0;
-        for (const VmInst &inst : program.code) {
-            ++opCounts[static_cast<std::size_t>(inst.op)];
-            if (vmOpIsMoveSlot(inst.op))
-                ++moveSlot;
-            else
-                ++computeSlot;
-        }
-        for (std::size_t op = 0; op < opCounts.size(); ++op) {
-            if (opCounts[op] == 0)
-                continue;
-            trace->recordCounter(
-                obs::internName(
-                    std::string("vm/op/") +
-                    vmOpName(static_cast<VmOp>(op))),
-                static_cast<std::int64_t>(opCounts[op]));
-        }
-        trace->recordCounter(obs::internName("vm/slot/move"),
-                             static_cast<std::int64_t>(moveSlot));
-        trace->recordCounter(obs::internName("vm/slot/compute"),
-                             static_cast<std::int64_t>(computeSlot));
-        trace->recordCounter(obs::internName("vm/cycles"),
-                             static_cast<std::int64_t>(out.cycles));
-        trace->recordCounter(
-            obs::internName("vm/instructions"),
-            static_cast<std::int64_t>(out.instructions));
+    // Opcode and issue-slot counts, aggregated outside the exec loop
+    // so the registry never touches the cycle-accounting hot path.
+    static const VmMetrics vm;
+    std::array<std::uint64_t, kNumVmOps> opCounts{};
+    for (const VmInst &inst : program.code)
+        ++opCounts[static_cast<std::size_t>(inst.op)];
+    std::uint64_t moveSlot = 0;
+    for (std::size_t op = 0; op < kNumVmOps; ++op) {
+        if (opCounts[op] == 0)
+            continue;
+        obs::metricAdd(vm.ops[op], opCounts[op]);
+        if (vmOpIsMoveSlot(static_cast<VmOp>(op)))
+            moveSlot += opCounts[op];
     }
+    if (moveSlot)
+        obs::metricAdd(vm.moveSlot, moveSlot);
+    if (out.instructions > moveSlot)
+        obs::metricAdd(vm.computeSlot, out.instructions - moveSlot);
     return out;
 }
 

@@ -14,6 +14,7 @@
  * slots and latencies, not register pressure.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,6 +48,10 @@ enum class VmOp : std::uint8_t
     VMulSub,  ///< v[dst] = v[a] - v[b]*v[c]
     VSqrtSgn, ///< lane-wise sqrt(a)*sign(-b)
 };
+
+/** Number of opcodes; VSqrtSgn must stay the last enumerator. */
+inline constexpr std::size_t kNumVmOps =
+    static_cast<std::size_t>(VmOp::VSqrtSgn) + 1;
 
 /** True for vector-register-producing/consuming compute ops. */
 bool vmOpIsVectorCompute(VmOp op);

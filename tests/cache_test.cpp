@@ -112,13 +112,13 @@ TEST(Fingerprint, SensitiveToEveryInputFamily)
     SynthConfig config = tinyConfig();
     std::uint64_t base = synthFingerprint(isa, config);
 
-    IsaConfig wide;
+    MachineDesc wide = MachineDesc::fusionG3();
     wide.vectorWidth = 8;
     EXPECT_NE(base, synthFingerprint(IsaSpec(wide), config));
 
-    IsaConfig custom;
-    custom.enableMulSub = true;
-    EXPECT_NE(base, synthFingerprint(IsaSpec(custom), config));
+    EXPECT_NE(base, synthFingerprint(
+                        IsaSpec(MachineDesc::fusionG3(/*mulSub=*/true)),
+                        config));
 
     SynthConfig c = config;
     c.enumConfig.seed ^= 1;

@@ -309,8 +309,23 @@ TEST(BackoffScheduler, DeterministicAcrossThreadCounts)
         EXPECT_EQ(seqReport.schedThrottledMatches,
                   parReport.schedThrottledMatches);
         EXPECT_EQ(seqReport.ruleApplied, parReport.ruleApplied);
+        EXPECT_EQ(seqReport.ruleMatches, parReport.ruleMatches);
+        EXPECT_EQ(seqReport.ruleSearchSteps, parReport.ruleSearchSteps);
         EXPECT_EQ(seqReport.ruleBannedIters, parReport.ruleBannedIters);
     }
+    // The per-rule vectors are populated, not just equal.
+    ASSERT_EQ(seqReport.ruleMatches.size(), rules.size());
+    ASSERT_EQ(seqReport.ruleSearchSteps.size(), rules.size());
+    std::size_t matches = 0, steps = 0, applied = 0;
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        matches += seqReport.ruleMatches[r];
+        steps += seqReport.ruleSearchSteps[r];
+        applied += seqReport.ruleApplied[r];
+    }
+    EXPECT_GT(steps, 0u);
+    EXPECT_GT(applied, 0u);
+    // Every applied or throttled match was one the search kept.
+    EXPECT_LE(applied + seqReport.schedThrottledMatches, matches);
 }
 
 TEST(BackoffScheduler, UnbansBeforeDeclaringSaturation)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include "frontend/kernels.h"
 #include "isa/cost_model.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "phase/phase.h"
 #include "term/sexpr.h"
 
@@ -223,6 +226,39 @@ TEST(MetricsShards, MergeIsExactAndDeterministic)
               hist->histogram.quantile(0.5));
 }
 
+TEST(MetricsShards, ExitedThreadsFoldIntoTheRegistry)
+{
+    // Each thread's shard is folded into the registry when the thread
+    // exits (a daemon's per-connection threads come and go); the
+    // totals must survive the fold exactly.
+    constexpr std::uint64_t kThreads = 64;
+    obs::CounterHandle c = obs::metricCounter("mtest/exit/count");
+    obs::HistogramHandle h = obs::metricHistogram("mtest/exit/hist");
+    for (std::uint64_t t = 1; t <= kThreads; ++t) {
+        std::thread([&, t] {
+            obs::metricAdd(c, t);
+            obs::metricRecord(h, 1000 * t);
+        }).join();
+    }
+
+    obs::MetricsSnapshot snap = obs::snapshotMetrics();
+    const obs::MetricValue *count = snap.find("mtest/exit/count");
+    const obs::MetricValue *hist = snap.find("mtest/exit/hist");
+    ASSERT_NE(count, nullptr);
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(count->counter, kThreads * (kThreads + 1) / 2);
+    EXPECT_EQ(hist->histogram.count, kThreads);
+    EXPECT_EQ(hist->histogram.sum, 1000 * kThreads * (kThreads + 1) / 2);
+    EXPECT_EQ(hist->histogram.min, 1000u);
+    EXPECT_EQ(hist->histogram.max, 1000 * kThreads);
+
+    // A reset zeroes the folded totals too.
+    obs::resetMetrics();
+    obs::MetricsSnapshot cleared = obs::snapshotMetrics();
+    EXPECT_EQ(cleared.find("mtest/exit/count")->counter, 0u);
+    EXPECT_EQ(cleared.find("mtest/exit/hist")->histogram.count, 0u);
+}
+
 // ---------------------------------------------------------------------
 // OpenMetrics export, checked by parsing.
 
@@ -379,7 +415,7 @@ TEST(MetricsRegistry, KillSwitchStopsRecording)
     obs::metricRecord(h, 42);
     obs::metricSet(g, 9);
     {
-        obs::ScopedHistogramTimer timer(h);
+        obs::Span timed("mtest/kill/span", h);
     }
     obs::setMetricsEnabled(true);
 
@@ -446,12 +482,29 @@ TEST(MetricsRegistry, RegistrationIsIdempotent)
 TEST(MetricsRegistry, ScopedTimerRecordsOneSample)
 {
     obs::HistogramHandle h = obs::metricHistogram("mtest/timer/ns");
-    std::uint64_t before = lookupMetric("mtest/timer/ns").histogram.count;
+    obs::HistogramSummary before = lookupMetric("mtest/timer/ns").histogram;
+    obs::TraceSession session;
+    session.activate();
+    double seconds = 0;
     {
-        obs::ScopedHistogramTimer timer(h);
+        obs::Span timed("mtest/timer", h);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        seconds = timed.close();
+        // Closing is idempotent: scope exit records nothing more.
+        EXPECT_EQ(timed.close(), seconds);
     }
-    EXPECT_EQ(lookupMetric("mtest/timer/ns").histogram.count,
-              before + 1);
+    session.deactivate();
+    obs::HistogramSummary after = lookupMetric("mtest/timer/ns").histogram;
+    EXPECT_EQ(after.count, before.count + 1);
+    // One clock: the histogram sample and the trace span are both the
+    // duration the span returned.
+    EXPECT_GE(seconds, 1e-3);
+    auto ns = static_cast<std::uint64_t>(std::llround(seconds * 1e9));
+    EXPECT_EQ(after.sum - before.sum, ns);
+    std::vector<obs::TaggedEvent> events = session.drain();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(obs::nameOf(events[0].event.name), "mtest/timer");
+    EXPECT_EQ(events[0].event.durNs, ns);
 }
 
 TEST(MetricsExport, JsonBlockIsWellFormed)

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "frontend/kernels.h"
 #include "isa/cost_model.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/ring_buffer.h"
 #include "phase/phase.h"
@@ -234,10 +237,11 @@ TEST(ObsRing, WraparoundKeepsNewestAndCountsDropped)
 
 TEST(ObsSession, DropCountSurvivesToDrainAndMeta)
 {
+    obs::CounterHandle c = obs::metricCounter("otest/wrap/counter");
     obs::TraceSession session(/*ringCapacity=*/16);
     session.activate();
     for (int i = 0; i < 100; ++i)
-        obs::counter("wrap/counter", i);
+        obs::metricAdd(c, static_cast<std::uint64_t>(i));
     session.deactivate();
 
     EXPECT_EQ(session.droppedEvents(), 84u);
@@ -317,15 +321,18 @@ TEST(Obs, StepBudgetStopsDistinguishableFromTimeout)
 void
 recordSampleEvents(obs::TraceSession &session)
 {
+    static const obs::CounterHandle counter =
+        obs::metricCounter("test/counter");
+    static const obs::GaugeHandle gauge = obs::metricGauge("test/gauge");
     session.activate();
     {
         obs::Span outer("test/outer", 1);
         {
             obs::Span inner("test/\"quoted\\name\"", 2);
-            obs::counter("test/counter", 41);
-            obs::counter("test/counter", 42);
+            obs::metricAdd(counter, 41);
+            obs::metricAdd(counter, 42);
         }
-        obs::instant("test/marker", 7);
+        obs::metricSet(gauge, 7);
     }
     session.deactivate();
 }
@@ -365,7 +372,8 @@ TEST(ObsExport, JsonlEveryLineParses)
         ++count;
     }
     EXPECT_TRUE(sawMeta);
-    // meta + 2 spans + 2 counters + 1 instant (+ registry hists).
+    // meta + 2 spans + 2 counter adds + 1 gauge write (+ registry
+    // hists).
     EXPECT_EQ(count - histLines, 6u);
 }
 
@@ -407,6 +415,34 @@ TEST(ObsExport, StatsAggregateAndJsonBlock)
     EXPECT_FALSE(report.toString().empty());
 }
 
+TEST(ObsSession, RegistryWritesBecomeCounterEvents)
+{
+    // The registry is the one recording call: while a session is
+    // active, a counter add lands in the trace carrying its delta and
+    // a gauge write carrying the value written.
+    obs::CounterHandle c = obs::metricCounter("otest/derived/count");
+    obs::GaugeHandle g = obs::metricGauge("otest/derived/gauge");
+    obs::metricAdd(c, 1000); // no session: registry only
+    obs::TraceSession session;
+    session.activate();
+    obs::metricAdd(c, 3);
+    obs::metricAdd(c, 4);
+    obs::metricSet(g, -5);
+    obs::metricMax(g, 9);
+    session.deactivate();
+
+    std::map<std::string, obs::StatsEntry> byName;
+    for (const obs::StatsEntry &entry : obs::aggregateStats(session).counters)
+        byName[entry.name] = entry;
+    const obs::StatsEntry &count = byName["otest/derived/count"];
+    EXPECT_EQ(count.count, 2u);
+    EXPECT_EQ(count.sum, 7);
+    const obs::StatsEntry &gauge = byName["otest/derived/gauge"];
+    EXPECT_EQ(gauge.count, 2u);
+    EXPECT_EQ(gauge.min, -5);
+    EXPECT_EQ(gauge.last, 9);
+}
+
 // ---------------------------------------------------------------------
 // Threading.
 
@@ -419,10 +455,10 @@ TEST(ObsSession, MultithreadedEmissionIsLossless)
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([t] {
-            std::uint32_t name = obs::internName(
-                "mt/thread-" + std::to_string(t));
+            std::string name = "mt/thread-" + std::to_string(t);
+            obs::CounterHandle c = obs::metricCounter(name.c_str());
             for (int i = 0; i < kPerThread; ++i)
-                obs::counterId(name, i);
+                obs::metricAdd(c, static_cast<std::uint64_t>(i));
         });
     }
     for (std::thread &w : workers)

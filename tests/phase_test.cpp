@@ -175,10 +175,7 @@ TEST(IsaSpecTest, CustomInstructionToggles)
     EXPECT_TRUE(base.opEnabled(Op::VecMAC));
     EXPECT_EQ(base.name(), "fusion-g3-w4");
 
-    IsaConfig config;
-    config.enableMulSub = true;
-    config.enableSqrtSgn = true;
-    IsaSpec custom(config);
+    IsaSpec custom(MachineDesc::fusionG3(/*mulSub=*/true, /*sqrtSgn=*/true));
     EXPECT_TRUE(custom.opEnabled(Op::VecMulSub));
     EXPECT_TRUE(custom.opEnabled(Op::VecSqrtSgn));
     EXPECT_EQ(custom.name(), "fusion-g3-w4+mulsub+sqrtsgn");

@@ -24,6 +24,7 @@
 #include "baseline/diospyros.h"
 #include "compiler/compiler.h"
 #include "egraph/runner.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "phase/phase.h"
 #include "serve/admission.h"
@@ -123,7 +124,7 @@ TEST(ServeJsonTest, EscapeRoundTripsThroughItsOwnWriter)
 {
     std::string hostile = "a\"b\\c\nd\te\x01f";
     std::string doc =
-        "{\"s\": \"" + serve::jsonEscapeString(hostile) + "\"}";
+        "{\"s\": \"" + obs::jsonEscape(hostile) + "\"}";
     serve::JsonValue root = mustParseJson(doc);
     const serve::JsonValue *s = root.find("s");
     ASSERT_NE(s, nullptr);
@@ -218,7 +219,7 @@ TEST(CompileRequestTest, SexprRequestRoundTripsThePrinter)
     ASSERT_TRUE(viaKernel.ok());
     std::string printed = printSexpr(viaKernel.value().program);
     auto viaSexpr = serve::parseCompileRequest(
-        "{\"sexpr\": \"" + serve::jsonEscapeString(printed) +
+        "{\"sexpr\": \"" + obs::jsonEscape(printed) +
         "\", \"label\": \"mm\"}");
     ASSERT_TRUE(viaSexpr.ok()) << viaSexpr.error().toString();
     EXPECT_EQ(viaSexpr.value().label, "mm");

@@ -333,9 +333,7 @@ TEST(Synthesize, IntegrationConfigIsClockIndependent)
 
 TEST(Synthesize, CustomInstructionsEnterTheRuleset)
 {
-    IsaConfig ic;
-    ic.enableSqrtSgn = true;
-    IsaSpec isa(ic);
+    IsaSpec isa(MachineDesc::fusionG3(/*mulSub=*/false, /*sqrtSgn=*/true));
     SynthConfig config = quickConfig();
     config.timeoutSeconds = 15;
     SynthReport report = synthesizeRules(isa, config);

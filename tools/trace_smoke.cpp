@@ -5,8 +5,9 @@
 // and validates the JSONL output against tools/trace_schema.json.
 //
 // Exits nonzero if the compile is wrong, the trace cannot be
-// written, or tracing recorded nothing.
+// written, tracing recorded nothing, or the session dropped events.
 
+#include <cstdint>
 #include <cstdio>
 
 #include "baseline/diospyros.h"
@@ -47,10 +48,16 @@ main(int argc, char **argv)
     }
 
     std::size_t events = trace.session().drain().size();
+    std::uint64_t dropped = trace.session().droppedEvents();
     if (!trace.finish())
         return 1;
     if (events == 0) {
         std::fprintf(stderr, "trace_smoke: no events recorded\n");
+        return 1;
+    }
+    if (dropped != 0) {
+        std::fprintf(stderr, "trace_smoke: %llu events dropped\n",
+                     static_cast<unsigned long long>(dropped));
         return 1;
     }
     std::printf("trace_smoke ok: %llu cycles, %zu trace events\n",
